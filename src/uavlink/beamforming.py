@@ -253,23 +253,3 @@ def assemble_stages(h1: np.ndarray, h2: np.ndarray, f_b: np.ndarray,
                      group_slices=group_slices or [],
                      pairs_bs=pairs_bs or [], pairs_uav_rx=pairs_uav_rx or [],
                      group_pairs=group_pairs or [])
-
-
-def save_stages(stages: HbfStages, path: str) -> None:
-    """Dump the six stages plus pair annotations to .npz."""
-    payload = {
-        "f_b": stages.f_b, "b_b": stages.b_b,
-        "f_ur": stages.f_ur, "b_ur": stages.b_ur,
-        "f_ut": stages.f_ut, "b_ut": stages.b_ut,
-        "eff1": stages.eff1, "eff2": stages.eff2,
-        "pairs_bs": _pairs_to_array(stages.pairs_bs),
-        "pairs_uav_rx": _pairs_to_array(stages.pairs_uav_rx),
-    }
-    for g, pairs in enumerate(stages.group_pairs):
-        payload[f"group{g}_pairs"] = _pairs_to_array(pairs)
-    np.savez(path, **payload)
-
-
-def _pairs_to_array(pairs: list[QuantizedPair]) -> np.ndarray:
-    return np.array([[p.n, p.k, p.lx, p.ly] for p in pairs],
-                    dtype=float).reshape(len(pairs), 4)

@@ -134,9 +134,9 @@ def draw_gains(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def first_link_matrix(tx: PathSet, rx: PathSet, rx_shape: tuple[int, int],
-                      tx_shape: tuple[int, int], spacing: float = 0.5,
-                      amplitude: float = 1.0) -> np.ndarray:
-    """Assemble the BS->UAV matrix from drawn paths.
+                      tx_shape: tuple[int, int], spacing: float = 0.5
+                      ) -> np.ndarray:
+    """Assemble the BS->UAV matrix from drawn paths, without pathloss.
 
     Receive-side columns use the transmit phase sign and transmit-side rows
     the receive sign: each is the conjugate of the analog stage that will
@@ -144,87 +144,53 @@ def first_link_matrix(tx: PathSet, rx: PathSet, rx_shape: tuple[int, int],
     """
     a_rx = steering_block(rx, rx_shape, spacing, "transmit")   # L x N_r
     a_tx = steering_block(tx, tx_shape, spacing, "receive")    # L x N_T
-    return amplitude * (a_rx.T * tx.gains) @ a_tx
+    return (a_rx.T * tx.gains) @ a_tx
 
 
 def second_link_rows(user_paths: list[PathSet], tx_shape: tuple[int, int],
-                     spacing: float = 0.5, amplitudes=None) -> np.ndarray:
-    """Stack the UAV->user MISO rows, one per user.
+                     spacing: float = 0.5) -> np.ndarray:
+    """Stack the UAV->user MISO rows, one per user, without pathloss.
 
     Rows are conjugates of transmit-sign steering (receive sign) so that
     h_k^T f is coherent when f points at user k's paths.
     """
     k = len(user_paths)
     n_t = tx_shape[0] * tx_shape[1]
-    amplitudes = np.ones(k) if amplitudes is None else np.asarray(amplitudes, float)
     h2 = np.empty((k, n_t), dtype=complex)
     for i, paths in enumerate(user_paths):
         block = steering_block(paths, tx_shape, spacing, "receive")
-        h2[i] = amplitudes[i] * (paths.gains @ block)
+        h2[i] = paths.gains @ block
     return h2
 
 
 def draw_first_link(scenario: Scenario, rng: np.random.Generator,
-                    uav_xy=None, angle_model: str = "fixed"
-                    ) -> tuple[np.ndarray, PathSet, PathSet]:
-    """Draw one first-hop realization at the given UAV position."""
-    uav_xy = _resolve_xy(scenario, uav_xy)
-    tx_sup, rx_sup = first_link_supports(scenario, uav_xy, angle_model)
+                    angle_model: str = "fixed") -> tuple[PathSet, PathSet]:
+    """Draw the first-hop paths (transmit side, receive side), which share
+    their gains, with the UAV at its default position."""
+    tx_sup, rx_sup = first_link_supports(
+        scenario, (scenario.uav.x, scenario.uav.y), angle_model)
     n_paths = scenario.paths_first_link
     tx_elev, tx_azim = draw_path_angles(rng, tx_sup, n_paths)
     rx_elev, rx_azim = draw_path_angles(rng, rx_sup, n_paths)
     gains = draw_gains(rng, n_paths)
-    _assert_in_support(tx_elev, tx_azim, tx_sup)
-    _assert_in_support(rx_elev, rx_azim, rx_sup)
-    tx = PathSet(tx_elev, tx_azim, gains)
-    rx = PathSet(rx_elev, rx_azim, gains)
-    tau1 = float(np.linalg.norm(
-        np.array([uav_xy[0], uav_xy[1], scenario.uav.z]) - scenario.bs.as_array()))
-    amp = pathloss_amplitude(tau1, scenario.ref_pathloss_db, scenario.pathloss_exp)
-    h1 = first_link_matrix(tx, rx, scenario.uav_rx_array, scenario.bs_array,
-                           scenario.element_spacing, amp)
-    return h1, tx, rx
+    return (PathSet(tx_elev, tx_azim, gains),
+            PathSet(rx_elev, rx_azim, gains))
 
 
 def draw_second_link(scenario: Scenario, rng: np.random.Generator,
-                     users: list[Position3D], uav_xy=None,
-                     angle_model: str = "fixed"
-                     ) -> tuple[np.ndarray, list[PathSet]]:
-    """Draw the UAV->user rows for every user at the given UAV position."""
-    uav_xy = _resolve_xy(scenario, uav_xy)
+                     users: list[Position3D], angle_model: str = "fixed"
+                     ) -> list[PathSet]:
+    """Draw each user's second-hop paths with the UAV at its default
+    position."""
     q = scenario.paths_second_link
-    supports = group_tx_supports(scenario, users, uav_xy, angle_model)
+    supports = group_tx_supports(
+        scenario, users, (scenario.uav.x, scenario.uav.y), angle_model)
     user_paths = []
     for k in range(scenario.num_users):
         sup = supports[scenario.group_of_user(k)]
         elev, azim = draw_path_angles(rng, sup, q)
-        gains = draw_gains(rng, q)
-        _assert_in_support(elev, azim, sup)
-        user_paths.append(PathSet(elev, azim, gains))
-    uav_pos = np.array([uav_xy[0], uav_xy[1], scenario.uav.z])
-    tau2 = np.array([np.linalg.norm(uav_pos - u.as_array()) for u in users])
-    amp2 = pathloss_amplitude(tau2, scenario.ref_pathloss_db, scenario.pathloss_exp)
-    h2 = second_link_rows(user_paths, scenario.uav_tx_array,
-                          scenario.element_spacing, amp2)
-    return h2, user_paths
-
-
-def draw_channel_pair(scenario: Scenario, rng: np.random.Generator,
-                      users: list[Position3D] | None = None, uav_xy=None,
-                      angle_model: str = "fixed") -> ChannelPair:
-    users = users if users is not None else scenario.users
-    if users is None:
-        raise ValueError("scenario has no fixed users; pass the realized ones")
-    uav_xy = _resolve_xy(scenario, uav_xy)
-    h1, tx, rx = draw_first_link(scenario, rng, uav_xy, angle_model)
-    h2, user_paths = draw_second_link(scenario, rng, users, uav_xy, angle_model)
-    uav_pos = np.array([uav_xy[0], uav_xy[1], scenario.uav.z])
-    tau1 = float(np.linalg.norm(uav_pos - scenario.bs.as_array()))
-    tau2 = np.array([np.linalg.norm(uav_pos - u.as_array()) for u in users])
-    return ChannelPair(h1=h1, h2=h2, tau1=tau1, tau2=tau2,
-                       uav_xy=np.asarray(uav_xy, dtype=float),
-                       first_link_tx=tx, first_link_rx=rx,
-                       user_paths=user_paths)
+        user_paths.append(PathSet(elev, azim, draw_gains(rng, q)))
+    return user_paths
 
 
 def first_link_supports(scenario: Scenario, uav_xy, angle_model: str
@@ -276,52 +242,3 @@ def recenter_support(base: AngularSupport, src: Position3D, dst: Position3D
     azim = min(max(azim, base.spread_azim + eps),
                2.0 * math.pi - base.spread_azim - eps)
     return AngularSupport(elev, azim, base.spread_elev, base.spread_azim)
-
-
-def save_channel_pair(pair: ChannelPair, path: str, seed_key=None) -> None:
-    """Persist one realization (matrices plus path metadata) to .npz."""
-    payload = {
-        "h1": pair.h1, "h2": pair.h2,
-        "tau1": np.array(pair.tau1), "tau2": pair.tau2,
-        "uav_xy": pair.uav_xy,
-        "tx_elev": pair.first_link_tx.elev, "tx_azim": pair.first_link_tx.azim,
-        "rx_elev": pair.first_link_rx.elev, "rx_azim": pair.first_link_rx.azim,
-        "gains1": pair.first_link_tx.gains,
-        "seed_key": np.array(-1 if seed_key is None else seed_key),
-    }
-    for k, paths in enumerate(pair.user_paths):
-        payload[f"u{k}_elev"] = paths.elev
-        payload[f"u{k}_azim"] = paths.azim
-        payload[f"u{k}_gains"] = paths.gains
-    np.savez(path, **payload)
-
-
-def load_channel_pair(path: str) -> ChannelPair:
-    data = np.load(path)
-    gains1 = data["gains1"]
-    user_paths = []
-    k = 0
-    while f"u{k}_elev" in data:
-        user_paths.append(PathSet(data[f"u{k}_elev"], data[f"u{k}_azim"],
-                                  data[f"u{k}_gains"]))
-        k += 1
-    return ChannelPair(
-        h1=data["h1"], h2=data["h2"], tau1=float(data["tau1"]),
-        tau2=data["tau2"], uav_xy=data["uav_xy"],
-        first_link_tx=PathSet(data["tx_elev"], data["tx_azim"], gains1),
-        first_link_rx=PathSet(data["rx_elev"], data["rx_azim"], gains1),
-        user_paths=user_paths)
-
-
-def _resolve_xy(scenario: Scenario, uav_xy) -> np.ndarray:
-    if uav_xy is None:
-        return np.array([scenario.uav.x, scenario.uav.y])
-    return np.asarray(uav_xy, dtype=float)
-
-
-def _assert_in_support(elev: np.ndarray, azim: np.ndarray,
-                       support: AngularSupport) -> None:
-    elo, ehi = support.elev_interval
-    alo, ahi = support.azim_interval
-    assert np.all((elev >= elo) & (elev <= ehi)), "elevation left its support"
-    assert np.all((azim >= alo) & (azim <= ahi)), "azimuth left its support"

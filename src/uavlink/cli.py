@@ -7,11 +7,8 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import harness, learn, pso
+from . import harness, learn
 from .geometry import dbm_to_mw, noise_power
-from .links import Realization
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,7 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default="runs/latest", help="output directory")
     p_run.add_argument("--workers", type=int, help="parallel workers")
     p_run.add_argument("--realizations", type=int)
-    p_run.add_argument("--format", choices=["csv"], default="csv")
 
     p_grid = sub.add_parser("grid", help="exhaustive search surface")
     common(p_grid)
@@ -163,9 +159,7 @@ def _dispatch(args) -> int:
     if args.command == "predict":
         spec = _load_spec(args)
         model = learn.load_model(args.model)
-        seq = np.random.SeedSequence([int(spec.seed), int(args.index)])
-        rlz = Realization(spec.scenario, np.random.default_rng(seq),
-                          spec.angle_model, seed_key=(spec.seed, args.index))
+        rlz = harness.realization(spec, args.index)
         p_t_mw = dbm_to_mw(args.p_t_dbm)
         sigma2_mw = dbm_to_mw(noise_power(spec.scenario))
         xy, p_rel, report = learn.apply_prediction(model, rlz, p_t_mw,

@@ -6,7 +6,6 @@ milliwatts internally; dBm only appears at configuration boundaries.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -101,6 +100,22 @@ class Box:
         return np.array([0.5 * (self.x_min + self.x_max),
                          0.5 * (self.y_min + self.y_max)])
 
+    def from_unit(self, coords) -> np.ndarray:
+        """Map unit-box coordinates, shape (..., 2), onto the box in metres."""
+        return self._origin + np.asarray(coords, dtype=float) * self._extent
+
+    def to_unit(self, xy) -> np.ndarray:
+        """Inverse of from_unit: metres, shape (..., 2), to the unit box."""
+        return (np.asarray(xy, dtype=float) - self._origin) / self._extent
+
+    @property
+    def _origin(self) -> np.ndarray:
+        return np.array([self.x_min, self.y_min])
+
+    @property
+    def _extent(self) -> np.ndarray:
+        return np.array([self.x_max - self.x_min, self.y_max - self.y_min])
+
 
 @dataclass
 class Scenario:
@@ -185,16 +200,12 @@ class Scenario:
         raise IndexError(f"user index {k} out of range")
 
 
-def default_group_supports(num_groups: int,
-                           elev_deg: float = 60.0,
-                           azim_start_deg: float = 21.0,
-                           azim_step_deg: float = 120.0,
-                           spread_deg: float = 10.0) -> list[AngularSupport]:
-    """Evenly rotated azimuth supports, one per group."""
+def default_group_supports(num_groups: int) -> list[AngularSupport]:
+    """Evenly rotated azimuth supports, one per group: elevation 60 deg,
+    azimuth 21 + 120 g deg, spreads 10 deg."""
     return [
-        AngularSupport(math.radians(elev_deg),
-                       math.radians(azim_start_deg + azim_step_deg * g),
-                       math.radians(spread_deg), math.radians(spread_deg))
+        AngularSupport(math.radians(60.0), math.radians(21.0 + 120.0 * g),
+                       math.radians(10.0), math.radians(10.0))
         for g in range(num_groups)
     ]
 
@@ -207,23 +218,31 @@ def place_users(rng: np.random.Generator, count: int,
     return [Position3D(float(x), float(y), 0.0) for x, y in xy]
 
 
-def distances(scenario: Scenario, uav_xy, users: list[Position3D] | None = None
-              ) -> tuple[float, np.ndarray]:
-    """3-D distances BS->UAV and UAV->each user for a candidate UAV (x, y).
+def distances(scenario: Scenario, xys, user_xyz: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """3-D distances for a batch of candidate UAV positions (x, y).
 
-    The UAV altitude is taken from the scenario. Raises OutOfBox for a
+    Returns tau1 (n,), BS->UAV, and tau2 (n, K), UAV->user k at row k of
+    ``user_xyz``; the UAV altitude is the scenario's. Raises OutOfBox for a
     candidate outside the deployment box and DegenerateGeometry if any
     distance is zero.
     """
-    if not scenario.box.contains(uav_xy):
-        raise OutOfBox(f"candidate {tuple(float(c) for c in uav_xy)} outside box")
-    users = users if users is not None else scenario.users
-    if users is None:
-        raise ValueError("scenario has no fixed users; pass the realized ones")
-    pos = np.array([float(uav_xy[0]), float(uav_xy[1]), scenario.uav.z])
-    tau1 = float(np.linalg.norm(pos - scenario.bs.as_array()))
-    tau2 = np.array([np.linalg.norm(pos - u.as_array()) for u in users])
-    if tau1 == 0.0 or np.any(tau2 == 0.0):
+    xys = np.atleast_2d(np.asarray(xys, dtype=float))
+    box = scenario.box
+    ok = ((xys[:, 0] >= box.x_min) & (xys[:, 0] <= box.x_max)
+          & (xys[:, 1] >= box.y_min) & (xys[:, 1] <= box.y_max))
+    if not np.all(ok):
+        bad = xys[~ok][0]
+        raise OutOfBox(f"candidate {tuple(bad)} outside deployment box")
+    z = scenario.uav.z
+    bs = scenario.bs.as_array()
+    d1 = np.hypot(xys[:, 0] - bs[0], xys[:, 1] - bs[1])
+    tau1 = np.sqrt(d1 ** 2 + (z - bs[2]) ** 2)
+    dx = xys[:, 0][:, None] - user_xyz[None, :, 0]
+    dy = xys[:, 1][:, None] - user_xyz[None, :, 1]
+    dz = z - user_xyz[None, :, 2]
+    tau2 = np.sqrt(dx ** 2 + dy ** 2 + dz ** 2)
+    if np.any(tau1 == 0.0) or np.any(tau2 == 0.0):
         raise DegenerateGeometry("zero propagation distance")
     return tau1, tau2
 
@@ -235,8 +254,23 @@ def noise_power(scenario: Scenario) -> float:
 
 # --- configuration boundary -------------------------------------------------
 
+_FLOAT_KEYS = ("carrier_freq_hz", "bandwidth_hz", "noise_psd_dbm_hz",
+               "ref_pathloss_db", "pathloss_exp", "element_spacing")
+_SHAPE_KEYS = ("bs_array", "uav_rx_array", "uav_tx_array")
+_INT_KEYS = ("paths_first_link", "paths_second_link", "rf_budget_bs",
+             "rf_budget_uav_rx", "rf_budget_uav_tx_per_group")
+_SCENARIO_KEYS = {"bs_position", "uav_position", "users", "group_sizes",
+                  "deployment_box", "user_xy_range", "first_link_supports_deg",
+                  "group_supports_deg_full", *_FLOAT_KEYS, *_SHAPE_KEYS,
+                  *_INT_KEYS}
+
+
 def scenario_from_dict(cfg: dict) -> Scenario:
-    """Build a Scenario from a plain dict (angles in degrees)."""
+    """Build a Scenario from the dict scenario_to_dict writes (angles in
+    degrees); any field may be omitted, unknown fields are errors."""
+    unknown = set(cfg) - _SCENARIO_KEYS
+    if unknown:
+        raise ValueError(f"unknown config field scenario.{sorted(unknown)[0]}")
     kwargs = {}
     if "bs_position" in cfg:
         kwargs["bs"] = Position3D(*cfg["bs_position"])
@@ -250,48 +284,23 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         kwargs["box"] = Box(*cfg["deployment_box"])
     if "user_xy_range" in cfg:
         kwargs["user_xy_range"] = tuple(cfg["user_xy_range"])
-    for key in ("carrier_freq_hz", "bandwidth_hz", "noise_psd_dbm_hz",
-                "ref_pathloss_db", "pathloss_exp", "element_spacing"):
+    for key in _FLOAT_KEYS:
         if key in cfg:
             kwargs[key] = float(cfg[key])
-    for key in ("bs_array", "uav_rx_array", "uav_tx_array"):
+    for key in _SHAPE_KEYS:
         if key in cfg:
             kwargs[key] = (int(cfg[key][0]), int(cfg[key][1]))
-    for key in ("paths_first_link", "paths_second_link", "rf_budget_bs",
-                "rf_budget_uav_rx", "rf_budget_uav_tx_per_group"):
+    for key in _INT_KEYS:
         if key in cfg:
             kwargs[key] = int(cfg[key])
-
-    spread = math.radians(float(cfg.get("angle_spread_deg", 10.0)))
     if "first_link_supports_deg" in cfg:
         kwargs["first_link_tx_support"] = _support_from_deg(
             cfg["first_link_supports_deg"]["tx"])
         kwargs["first_link_rx_support"] = _support_from_deg(
             cfg["first_link_supports_deg"]["rx"])
-    elif "first_link_mean_elev_deg" in cfg or "first_link_mean_azim_deg" in cfg:
-        sup = AngularSupport(
-            math.radians(float(cfg.get("first_link_mean_elev_deg", 60.0))),
-            math.radians(float(cfg.get("first_link_mean_azim_deg", 120.0))),
-            spread, spread)
-        kwargs["first_link_tx_support"] = sup
-        kwargs["first_link_rx_support"] = sup
     if "group_supports_deg_full" in cfg:
         kwargs["group_supports"] = [
             _support_from_deg(g) for g in cfg["group_supports_deg_full"]]
-    elif "group_supports_deg" in cfg:
-        kwargs["group_supports"] = [
-            AngularSupport(math.radians(e), math.radians(a), spread, spread)
-            for e, a in cfg["group_supports_deg"]
-        ]
-    elif any(k in cfg for k in ("group_mean_elev_deg", "group_azim_start_deg",
-                                "group_azim_step_deg")):
-        sizes = kwargs.get("group_sizes", [2, 2])
-        kwargs["group_supports"] = default_group_supports(
-            len(sizes),
-            elev_deg=float(cfg.get("group_mean_elev_deg", 60.0)),
-            azim_start_deg=float(cfg.get("group_azim_start_deg", 21.0)),
-            azim_step_deg=float(cfg.get("group_azim_step_deg", 120.0)),
-            spread_deg=math.degrees(spread))
     return Scenario(**kwargs)
 
 
@@ -342,9 +351,3 @@ def _support_from_deg(d: dict) -> AngularSupport:
         math.radians(float(d["mean_azim_deg"])),
         math.radians(float(d["spread_elev_deg"])),
         math.radians(float(d["spread_azim_deg"])))
-
-
-def load_scenario(path: str) -> Scenario:
-    with open(path) as fh:
-        cfg = json.load(fh)
-    return scenario_from_dict(cfg.get("scenario", cfg))

@@ -118,10 +118,15 @@ def _load_model_cached(path: str) -> learn.MlpModel:
     return _MODEL_CACHE[path]
 
 
-def _realization_rows(spec: ExperimentSpec, index: int) -> list[dict]:
+def realization(spec: ExperimentSpec, index: int) -> Realization:
+    """Realization ``index`` of a run, drawn from SeedSequence([seed, index])."""
     seq = np.random.SeedSequence([int(spec.seed), int(index)])
-    rlz = Realization(spec.scenario, np.random.default_rng(seq),
-                      spec.angle_model, seed_key=(spec.seed, index))
+    return Realization(spec.scenario, np.random.default_rng(seq),
+                       spec.angle_model)
+
+
+def _realization_rows(spec: ExperimentSpec, index: int) -> list[dict]:
+    rlz = realization(spec, index)
     sigma2_mw = dbm_to_mw(noise_power(spec.scenario))
     rows = []
     for pt_index, p_t in enumerate(spec.p_t_dbm):
@@ -277,11 +282,8 @@ def mean_surface(spec: ExperimentSpec, p_t_dbm: float,
     total = None
     xs = ys = None
     for i in range(spec.realizations):
-        seq = np.random.SeedSequence([int(spec.seed), int(i)])
-        rlz = Realization(spec.scenario, np.random.default_rng(seq),
-                          spec.angle_model, seed_key=(spec.seed, i))
-        grid = pso.exhaustive_grid(rlz, spec.grid_dx, spec.grid_dy, p_t_mw,
-                                   sigma2_mw, objective)
+        grid = pso.exhaustive_grid(realization(spec, i), spec.grid_dx,
+                                   spec.grid_dy, p_t_mw, sigma2_mw, objective)
         total = grid.values if total is None else total + grid.values
         xs, ys = grid.xs, grid.ys
     values = total / spec.realizations
@@ -307,38 +309,29 @@ def emit_surface(grid: pso.GridResult, path: str) -> None:
 
 def run_delay(spec: ExperimentSpec, queue_bits: list[float],
               out_path: str | None = None) -> list[dict]:
-    """Average Little's-law delay, bufferless vs buffered, per power point."""
+    """Average Little's-law delay, bufferless vs buffered, per power point.
+
+    Both policy searches on a realization share one seed, so the buffered
+    delay never exceeds the bufferless one on any realization.
+    """
     sigma2_mw = dbm_to_mw(noise_power(spec.scenario))
-    rows = []
-    for pt_index, p_t in enumerate(spec.p_t_dbm):
-        p_t_mw = dbm_to_mw(p_t)
-        fixed_delays = {q: [] for q in queue_bits}
-        buffered_delays = {q: [] for q in queue_bits}
-        for i in range(spec.realizations):
-            seq = np.random.SeedSequence([int(spec.seed), int(i)])
-            rlz = Realization(spec.scenario, np.random.default_rng(seq),
-                              spec.angle_model, seed_key=(spec.seed, i))
-            pol_seed = np.random.SeedSequence(
-                [int(spec.seed), int(i), 101, pt_index])
-            fixed = relay.optimize_policy(rlz, spec.pso, p_t_mw, sigma2_mw,
-                                          pol_seed, mode="without_buffer")
-            buf_seed = np.random.SeedSequence(
-                [int(spec.seed), int(i), 103, pt_index])
-            buffered = relay.optimize_policy(rlz, spec.pso, p_t_mw, sigma2_mw,
-                                             buf_seed, mode="with_buffer")
-            rep_fixed = relay.buffered_rate(rlz, fixed, p_t_mw, sigma2_mw)
-            rep_buf = relay.buffered_rate(rlz, buffered, p_t_mw, sigma2_mw)
-            for q in queue_bits:
-                fixed_delays[q].append(
-                    relay.little_delay(rep_fixed.r1, rep_fixed.r2, q))
-                buffered_delays[q].append(
-                    relay.little_delay(rep_buf.r1, rep_buf.r2, q))
-        for q in queue_bits:
-            rows.append({
-                "p_t_dbm": p_t, "queue_bits": q,
-                "delay_fixed": float(np.mean(fixed_delays[q])),
-                "delay_buffered": float(np.mean(buffered_delays[q])),
-            })
+    delays = {}     # (mode, power index, queue bits) -> one per realization
+    for i in range(spec.realizations):
+        rlz = realization(spec, i)
+        for pt_index, p_t in enumerate(spec.p_t_dbm):
+            p_t_mw = dbm_to_mw(p_t)
+            for mode in ("without_buffer", "with_buffer"):
+                policy = relay.optimize_policy(
+                    rlz, spec.pso, p_t_mw, sigma2_mw,
+                    [int(spec.seed), i, 101, pt_index], mode=mode)
+                rep = relay.buffered_rate(rlz, policy, p_t_mw, sigma2_mw)
+                for q in queue_bits:
+                    delays.setdefault((mode, pt_index, q), []).append(
+                        relay.little_delay(rep.r1, rep.r2, q))
+    rows = [{"p_t_dbm": p_t, "queue_bits": q,
+             "delay_fixed": float(np.mean(delays["without_buffer", pt, q])),
+             "delay_buffered": float(np.mean(delays["with_buffer", pt, q]))}
+            for pt, p_t in enumerate(spec.p_t_dbm) for q in queue_bits]
     if out_path is not None:
         with open(out_path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -287,9 +287,13 @@ def build_labels(p_mw: np.ndarray, xy, box: Box) -> np.ndarray:
     top = float(np.max(p_mw))
     if top <= 0.0:
         raise DegenerateInput("solver allocation is all zero")
-    x_rel = (float(xy[0]) - box.x_min) / (box.x_max - box.x_min)
-    y_rel = (float(xy[1]) - box.y_min) / (box.y_max - box.y_min)
-    return np.concatenate([p_mw / top, [x_rel, y_rel]])
+    return np.concatenate([p_mw / top, box.to_unit(xy)])
+
+
+def _decode(out: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:
+    """Network output to relative powers and a clipped in-box position."""
+    k = out.size - 2
+    return out[:k], box.clip(box.from_unit(out[k:]))
 
 
 def predict_and_denormalize(model: MlpModel, features: np.ndarray,
@@ -300,11 +304,8 @@ def predict_and_denormalize(model: MlpModel, features: np.ndarray,
     out = forward(model, np.asarray(features, dtype=float))
     if out.ndim != 1:
         raise ShapeMismatch("one feature vector at a time")
-    k = out.size - 2
-    xy = box.clip([box.x_min + out[k] * (box.x_max - box.x_min),
-                   box.y_min + out[k + 1] * (box.y_max - box.y_min)])
-    alloc = scale_alloc(out[:k], b_ut, p_t_mw)
-    return alloc, xy
+    p_rel, xy = _decode(out, box)
+    return scale_alloc(p_rel, b_ut, p_t_mw), xy
 
 
 def apply_prediction(model: MlpModel, rlz: Realization, p_t_mw: float,
@@ -314,13 +315,9 @@ def apply_prediction(model: MlpModel, rlz: Realization, p_t_mw: float,
     stages0 = rlz.stages_at(rlz.default_xy, p_t_mw, sigma2_mw)
     feats = build_features(rlz.channel_pair_at(rlz.default_xy).h2,
                            stages0.b_ut)
-    out = forward(model, feats)
-    k = out.size - 2
-    box = rlz.scenario.box
-    xy = box.clip([box.x_min + out[k] * (box.x_max - box.x_min),
-                   box.y_min + out[k + 1] * (box.y_max - box.y_min)])
-    report = rlz.rate_at(xy, p_t_mw, sigma2_mw, out[:k])
-    return xy, out[:k], report
+    p_rel, xy = _decode(forward(model, feats), rlz.scenario.box)
+    report = rlz.rate_at(xy, p_t_mw, sigma2_mw, p_rel)
+    return xy, p_rel, report
 
 
 # --- dataset generation -------------------------------------------------------
@@ -330,8 +327,7 @@ def _dataset_row(scenario: Scenario, master_seed: int, index: int,
                  angle_model: str) -> dict:
     seq = np.random.SeedSequence([int(master_seed), int(index)])
     draw_seq, solve_seq = seq.spawn(2)
-    rlz = Realization(scenario, np.random.default_rng(draw_seq), angle_model,
-                      seed_key=(master_seed, index))
+    rlz = Realization(scenario, np.random.default_rng(draw_seq), angle_model)
     sol = pso.solve_joint(rlz, pso_cfg, p_t_mw, sigma2_mw, solve_seq)
     report = rlz.rate_at(sol.xy, p_t_mw, sigma2_mw, sol.p_hat)
     stages0 = rlz.stages_at(rlz.default_xy, p_t_mw, sigma2_mw)
@@ -416,11 +412,13 @@ def save_model(model: MlpModel, path: str) -> None:
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         payload[f"w{i}"] = w
         payload[f"b{i}"] = b
-    np.savez(path, **payload)
+    # through a handle: given a path, np.savez would append ".npz" to it
+    with open(path, "wb") as fh:
+        np.savez(fh, **payload)
 
 
 def load_model(path: str) -> MlpModel:
-    data = np.load(path)
-    num = int(data["num_layers"])
-    return MlpModel(weights=[data[f"w{i}"] for i in range(num)],
-                    biases=[data[f"b{i}"] for i in range(num)])
+    with np.load(path) as data:
+        num = int(data["num_layers"])
+        return MlpModel(weights=[data[f"w{i}"] for i in range(num)],
+                        biases=[data[f"b{i}"] for i in range(num)])

@@ -19,7 +19,7 @@ import numpy as np
 from . import beamforming as bf
 from . import channel as ch
 from . import rates
-from .geometry import OutOfBox, DegenerateGeometry, Scenario, Position3D, place_users
+from .geometry import Scenario, Position3D, distances, place_users
 
 
 @dataclass
@@ -79,10 +79,9 @@ class Realization:
     """Drawn paths plus cached RF-collapsed matrices for fast evaluation."""
 
     def __init__(self, scenario: Scenario, rng: np.random.Generator,
-                 angle_model: str = "fixed", seed_key=None):
+                 angle_model: str = "fixed"):
         self.scenario = scenario
         self.angle_model = angle_model
-        self.seed_key = seed_key
         if scenario.users is not None:
             self.users = list(scenario.users)
         else:
@@ -90,11 +89,10 @@ class Realization:
                                      scenario.user_xy_range)
         self.rf = design_rf_stages(scenario, self.users, angle_model)
 
-        default_xy = np.array([scenario.uav.x, scenario.uav.y])
-        _, self.first_tx, self.first_rx = ch.draw_first_link(
-            scenario, rng, default_xy, angle_model)
-        _, self.user_paths = ch.draw_second_link(
-            scenario, rng, self.users, default_xy, angle_model)
+        self.first_tx, self.first_rx = ch.draw_first_link(
+            scenario, rng, angle_model)
+        self.user_paths = ch.draw_second_link(
+            scenario, rng, self.users, angle_model)
 
         self.h1_raw = ch.first_link_matrix(
             self.first_tx, self.first_rx, scenario.uav_rx_array,
@@ -119,7 +117,6 @@ class Realization:
         self._q1_unit = 0.5 * (self._q1_unit + self._q1_unit.conj().T)
         self._eff2_raw = self.h2_raw @ self.rf.f_ut
         self._user_xyz = np.array([u.as_array() for u in self.users])
-        self._bs_xyz = scenario.bs.as_array()
 
     # -- geometry ------------------------------------------------------------
 
@@ -130,26 +127,6 @@ class Realization:
     @property
     def default_xy(self) -> np.ndarray:
         return np.array([self.scenario.uav.x, self.scenario.uav.y])
-
-    def path_distances(self, xys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """tau1 (n,) and tau2 (n, K) for a batch of candidate positions."""
-        xys = np.atleast_2d(np.asarray(xys, dtype=float))
-        box = self.scenario.box
-        ok = ((xys[:, 0] >= box.x_min) & (xys[:, 0] <= box.x_max)
-              & (xys[:, 1] >= box.y_min) & (xys[:, 1] <= box.y_max))
-        if not np.all(ok):
-            bad = xys[~ok][0]
-            raise OutOfBox(f"candidate {tuple(bad)} outside deployment box")
-        z = self.scenario.uav.z
-        d1 = np.hypot(xys[:, 0] - self._bs_xyz[0], xys[:, 1] - self._bs_xyz[1])
-        tau1 = np.sqrt(d1 ** 2 + (z - self._bs_xyz[2]) ** 2)
-        dx = xys[:, 0][:, None] - self._user_xyz[None, :, 0]
-        dy = xys[:, 1][:, None] - self._user_xyz[None, :, 1]
-        dz = z - self._user_xyz[None, :, 2]
-        tau2 = np.sqrt(dx ** 2 + dy ** 2 + dz ** 2)
-        if np.any(tau1 == 0.0) or np.any(tau2 == 0.0):
-            raise DegenerateGeometry("zero propagation distance")
-        return tau1, tau2
 
     # -- evaluation ----------------------------------------------------------
 
@@ -165,7 +142,7 @@ class Realization:
         n = xys.shape[0]
         k = self.num_users
         sc = self.scenario
-        tau1, tau2 = self.path_distances(xys)
+        tau1, tau2 = distances(sc, xys, self._user_xyz)
         amp1 = ch.pathloss_amplitude(tau1, sc.ref_pathloss_db, sc.pathloss_exp)
         amp2 = ch.pathloss_amplitude(tau2, sc.ref_pathloss_db, sc.pathloss_exp)
 
@@ -218,8 +195,8 @@ class Realization:
     def stages_at(self, xy, p_t_mw: float, sigma2_mw: float) -> bf.HbfStages:
         """Full stage set at one position, reusing the cached first-link SVD."""
         xy = np.asarray(xy, dtype=float)
-        tau1, tau2 = self.path_distances(xy[None, :])
         sc = self.scenario
+        tau1, tau2 = distances(sc, xy, self._user_xyz)
         amp1 = float(ch.pathloss_amplitude(tau1[0], sc.ref_pathloss_db,
                                            sc.pathloss_exp))
         amp2 = ch.pathloss_amplitude(tau2[0], sc.ref_pathloss_db,
@@ -249,8 +226,8 @@ class Realization:
     def channel_pair_at(self, xy) -> ch.ChannelPair:
         """Physical channel matrices at one position (shared path draws)."""
         xy = np.asarray(xy, dtype=float)
-        tau1, tau2 = self.path_distances(xy[None, :])
         sc = self.scenario
+        tau1, tau2 = distances(sc, xy, self._user_xyz)
         amp1 = float(ch.pathloss_amplitude(tau1[0], sc.ref_pathloss_db,
                                            sc.pathloss_exp))
         amp2 = ch.pathloss_amplitude(tau2[0], sc.ref_pathloss_db,
@@ -265,23 +242,4 @@ class Realization:
 def make_realization(scenario: Scenario, seed, angle_model: str = "fixed"
                      ) -> Realization:
     """Draw one realization from a seed (int, SeedSequence, or Generator)."""
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-        key = None
-    else:
-        rng = np.random.default_rng(seed)
-        key = seed
-    return Realization(scenario, rng, angle_model, seed_key=key)
-
-
-def realization_stream(scenario: Scenario, master_seed: int, count: int,
-                       start: int = 0, angle_model: str = "fixed"):
-    """Yield (index, Realization) with independent per-index substreams.
-
-    Substream i depends only on (master_seed, i), so any subset can be
-    rebuilt in any order or process and produce identical draws.
-    """
-    for i in range(start, start + count):
-        seq = np.random.SeedSequence([int(master_seed), int(i)])
-        yield i, Realization(scenario, np.random.default_rng(seq),
-                             angle_model, seed_key=(master_seed, i))
+    return Realization(scenario, np.random.default_rng(seed), angle_model)

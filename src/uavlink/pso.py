@@ -145,21 +145,6 @@ def _objective_field(batch, name: str) -> np.ndarray:
     raise ValueError(f"unknown objective {name!r}")
 
 
-def _box_map(rlz: Realization, coords: np.ndarray) -> np.ndarray:
-    box = rlz.scenario.box
-    out = np.empty_like(coords)
-    out[:, 0] = box.x_min + coords[:, 0] * (box.x_max - box.x_min)
-    out[:, 1] = box.y_min + coords[:, 1] * (box.y_max - box.y_min)
-    return out
-
-
-def _box_unmap(rlz: Realization, xy) -> np.ndarray:
-    box = rlz.scenario.box
-    return np.array([
-        (float(xy[0]) - box.x_min) / (box.x_max - box.x_min),
-        (float(xy[1]) - box.y_min) / (box.y_max - box.y_min)])
-
-
 def _eval_candidates(rlz: Realization, xys: np.ndarray, p_hat: np.ndarray,
                      p_t_mw: float, sigma2_mw: float, objective: str
                      ) -> np.ndarray:
@@ -203,15 +188,16 @@ def solve_loc_equal_pa(rlz: Realization, cfg: PsoConfig, p_t_mw: float,
     The first particle starts at the default deployment, so the solution is
     never worse than not moving the UAV at all.
     """
+    box = rlz.scenario.box
 
     def evaluate(coords: np.ndarray) -> np.ndarray:
-        xys = _box_map(rlz, coords)
+        xys = box.from_unit(coords)
         return _objective_field(
             rlz.evaluate_batch(xys, p_t_mw, sigma2_mw, None), objective)
 
-    warm = [_box_unmap(rlz, rlz.default_xy)]
+    warm = [box.to_unit(rlz.default_xy)]
     pos, val, trace = run_pso(evaluate, 2, cfg, seed, warm)
-    return SolveResult(xy=_box_map(rlz, pos[None, :])[0], p_hat=None,
+    return SolveResult(xy=box.from_unit(pos), p_hat=None,
                        value=val, trace=trace, objective=objective)
 
 
@@ -223,15 +209,16 @@ def solve_joint(rlz: Realization, cfg: PsoConfig, p_t_mw: float,
     The first particle starts at the default position with equal powers.
     """
     k = rlz.num_users
+    box = rlz.scenario.box
 
     def evaluate(coords: np.ndarray) -> np.ndarray:
-        xys = _box_map(rlz, coords[:, :2])
+        xys = box.from_unit(coords[:, :2])
         p_hat = coords[:, 2:] ** 2
         return _eval_candidates(rlz, xys, p_hat, p_t_mw, sigma2_mw, objective)
 
-    warm = [np.concatenate([_box_unmap(rlz, rlz.default_xy), np.ones(k)])]
+    warm = [np.concatenate([box.to_unit(rlz.default_xy), np.ones(k)])]
     pos, val, trace = run_pso(evaluate, k + 2, cfg, seed, warm)
-    return SolveResult(xy=_box_map(rlz, pos[None, :2])[0], p_hat=pos[2:] ** 2,
+    return SolveResult(xy=box.from_unit(pos[:2]), p_hat=pos[2:] ** 2,
                        value=val, trace=trace, objective=objective)
 
 

@@ -10,9 +10,16 @@ from uavlink.geometry import (AngularSupport, Box, DegenerateGeometry,
                               scenario_from_dict, scenario_to_dict)
 
 
+def _tau(scenario, xy):
+    """tau1 and tau2 of one candidate against the scenario's fixed users."""
+    users = np.array([u.as_array() for u in scenario.users])
+    tau1, tau2 = distances(scenario, xy, users)
+    return tau1[0], tau2[0]
+
+
 def test_bs_to_uav_distance_matches_hand_value():
     s = Scenario(users=[Position3D(60.0, 60.0, 0.0)], group_sizes=[1])
-    tau1, tau2 = distances(s, (50.0, 50.0))
+    tau1, tau2 = _tau(s, (50.0, 50.0))
     assert tau1 == pytest.approx(math.sqrt(5100.0), abs=1e-12)
     assert tau2[0] == pytest.approx(math.sqrt(100 + 100 + 400), abs=1e-12)
 
@@ -32,15 +39,15 @@ def test_db_milliwatt_round_trip():
 def test_out_of_box_candidate_rejected():
     s = Scenario(users=[Position3D(60.0, 60.0, 0.0)], group_sizes=[1])
     with pytest.raises(OutOfBox):
-        distances(s, (120.0, 50.0))
+        _tau(s, (120.0, 50.0))
     with pytest.raises(OutOfBox):
-        distances(s, (50.0, -0.5))
+        _tau(s, (50.0, -0.5))
 
 
 def test_degenerate_geometry_detected():
     s = Scenario(users=[Position3D(50.0, 50.0, 20.0)], group_sizes=[1])
     with pytest.raises(DegenerateGeometry):
-        distances(s, (50.0, 50.0))
+        _tau(s, (50.0, 50.0))
 
 
 coords = st.floats(min_value=0.0, max_value=100.0)
@@ -50,7 +57,7 @@ user_coords = st.floats(min_value=0.0, max_value=100.0)
 @given(x=coords, y=coords, ux=user_coords, uy=user_coords)
 def test_triangle_inequality_via_relay(x, y, ux, uy):
     s = Scenario(users=[Position3D(ux, uy, 0.0)], group_sizes=[1])
-    tau1, tau2 = distances(s, (x, y))
+    tau1, tau2 = _tau(s, (x, y))
     direct = np.linalg.norm(s.bs.as_array() - s.users[0].as_array())
     assert direct <= tau1 + tau2[0] + 1e-9
 
@@ -66,8 +73,8 @@ def test_distances_translation_invariant(x, y, shift):
         group_sizes=[1],
         box=Box(base.box.x_min + shift, base.box.y_min + shift,
                 base.box.x_max + shift, base.box.y_max + shift))
-    t1a, t2a = distances(base, (x, y))
-    t1b, t2b = distances(moved, (x + shift, y + shift))
+    t1a, t2a = _tau(base, (x, y))
+    t1b, t2b = _tau(moved, (x + shift, y + shift))
     assert t1a == pytest.approx(t1b, rel=1e-12)
     assert t2a[0] == pytest.approx(t2b[0], rel=1e-12)
 
@@ -126,15 +133,12 @@ def test_scenario_dict_round_trip():
     assert back.box == s.box
 
 
-def test_config_accepts_table_style_fields():
-    s = scenario_from_dict({
-        "bs_array": [12, 12],
-        "first_link_mean_azim_deg": 120.0,
-        "first_link_mean_elev_deg": 60.0,
-        "angle_spread_deg": 10.0,
-        "group_sizes": [2, 2],
-        "group_azim_start_deg": 21.0,
-    })
-    assert s.bs_array == (12, 12)
-    assert s.first_link_tx_support.mean_azim == pytest.approx(math.radians(120))
-    assert s.group_supports[1].mean_azim == pytest.approx(math.radians(141))
+def test_config_rejects_unknown_fields_by_name():
+    # the superseded table-style support encodings are unknown fields too
+    for key in ("bs_arrray", "angle_spread_deg", "first_link_mean_elev_deg",
+                "first_link_mean_azim_deg", "group_supports_deg",
+                "group_mean_elev_deg", "group_azim_start_deg",
+                "group_azim_step_deg"):
+        with pytest.raises(ValueError,
+                           match=f"unknown config field scenario.{key}$"):
+            scenario_from_dict({"bs_array": [12, 12], key: 10.0})

@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from uavlink import cli, harness
+from uavlink import cli, harness, relay
+from uavlink.geometry import dbm_to_mw, noise_power
 from uavlink.harness import (ExperimentSpec, config_hash, run, spec_from_dict,
                              spec_to_dict)
 from uavlink.pso import PsoConfig
@@ -81,6 +82,9 @@ def test_spec_from_dict_rejects_unknown_fields():
     with pytest.raises(ValueError,
                        match="unknown config field experiment.relizations"):
         spec_from_dict({"experiment": {"relizations": 5}})
+    with pytest.raises(ValueError,
+                       match="unknown config field scenario.bs_arrray"):
+        spec_from_dict({"scenario": {"bs_arrray": [8, 8]}})
 
 
 def test_manifest_contents(tmp_path):
@@ -117,6 +121,25 @@ def test_run_delay_rows(tmp_path):
     assert rows[1]["delay_fixed"] == pytest.approx(4 * rows[0]["delay_fixed"])
     header = open(path).readline().strip()
     assert header == "p_t_dbm,queue_bits,delay_fixed,delay_buffered"
+
+
+def test_run_delay_pairs_the_policy_seeds():
+    # the buffered search runs on the bufferless search's seed, so its
+    # column is reproducible from that seed alone
+    spec = _small_spec(p_t_dbm=[0.0, 20.0], realizations=2)
+    rows = harness.run_delay(spec, [2.0])
+    sigma2_mw = dbm_to_mw(noise_power(spec.scenario))
+    for pt_index, row in enumerate(rows):
+        p_t_mw = dbm_to_mw(row["p_t_dbm"])
+        delays = []
+        for i in range(spec.realizations):
+            rlz = harness.realization(spec, i)
+            seed = np.random.SeedSequence([spec.seed, i, 101, pt_index])
+            policy = relay.optimize_policy(rlz, spec.pso, p_t_mw, sigma2_mw,
+                                           seed, mode="with_buffer")
+            rep = relay.buffered_rate(rlz, policy, p_t_mw, sigma2_mw)
+            delays.append(relay.little_delay(rep.r1, rep.r2, 2.0))
+        assert row["delay_buffered"] == float(np.mean(delays))
 
 
 def test_load_spec_from_json_file(tmp_path):
@@ -180,7 +203,8 @@ def test_cli_dataset_train_predict_round_trip(tmp_path, capsys):
     code = cli.main(["dataset", "--config", cfg, "--out", data,
                      "--count", "6"])
     assert code == 0
-    model = str(tmp_path / "model.npz")
+    # the exact path given, whatever its extension
+    model = str(tmp_path / "model.json")
     curves = str(tmp_path / "curves.csv")
     code = cli.main(["train", "--config", cfg, "--dataset", data,
                      "--out", model, "--curves", curves,

@@ -1,9 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from uavlink import rates
+from uavlink.beamforming import OverlappingSupports
 from uavlink.geometry import OutOfBox, Position3D, Scenario
-from uavlink.links import make_realization, realization_stream
+from uavlink.harness import ExperimentSpec, realization
+from uavlink.links import make_realization
 
 
 def test_batch_matches_single_point_formulas(desk_realization, p20_mw,
@@ -45,10 +49,12 @@ def test_same_seed_same_realization(desk_scenario, p20_mw, desk_sigma2):
 
 
 def test_stream_substreams_are_order_independent(desk_scenario):
-    full = {i: r for i, r in realization_stream(desk_scenario, 42, 5)}
-    only_third = dict(realization_stream(desk_scenario, 42, 1, start=3))
-    assert np.array_equal(full[3].h1_raw, only_third[3].h1_raw)
-    assert np.array_equal(full[3].h2_raw, only_third[3].h2_raw)
+    spec = ExperimentSpec(scenario=desk_scenario, seed=42)
+    full = {i: realization(spec, i) for i in range(5)}
+    only_third = realization(spec, 3)
+    assert np.array_equal(full[3].h1_raw, only_third.h1_raw)
+    assert np.array_equal(full[3].h2_raw, only_third.h2_raw)
+    assert not np.array_equal(full[2].h1_raw, only_third.h1_raw)
 
 
 def test_out_of_box_candidates_rejected(desk_realization, p20_mw, desk_sigma2):
@@ -94,8 +100,8 @@ def test_geometric_angle_model_builds_and_evaluates(desk_scenario, p20_mw,
                                                     desk_sigma2):
     # at 4x4 scale the geometric supports of nearby groups can share cells,
     # which is allowed and reported as a warning
-    with np.testing.suppress_warnings() as sup:
-        sup.filter(category=Warning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OverlappingSupports)
         rlz = make_realization(desk_scenario, 21, angle_model="geometric")
     rep = rlz.rate_at(rlz.default_xy, p20_mw, desk_sigma2)
     assert np.isfinite(rep.r_total) and rep.r_total > 0.0

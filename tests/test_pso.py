@@ -152,15 +152,15 @@ def test_objective_field_selects_hop(desk_realization, p20_mw, desk_sigma2):
         pso._objective_field(batch, "nope")
 
 
-def test_box_map_round_trip(desk_realization):
-    rlz = desk_realization
+def test_box_map_round_trip():
+    box = Box(-20.0, 10.0, 80.0, 60.0)
     unit = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.25]])
-    xy = pso._box_map(rlz, unit)
-    box = rlz.scenario.box
+    xy = box.from_unit(unit)
     assert np.allclose(xy[0], [box.x_min, box.y_min])
     assert np.allclose(xy[1], [box.x_max, box.y_max])
-    back = np.array([pso._box_unmap(rlz, row) for row in xy])
-    assert np.allclose(back, unit)
+    assert np.allclose(xy[2], [30.0, 22.5])
+    assert np.allclose(box.to_unit(xy), unit)
+    assert np.allclose(box.to_unit(xy[2]), unit[2])
 
 
 def test_config_validation():
