@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -75,13 +76,11 @@ def _load_spec(args) -> harness.ExperimentSpec:
         spec = harness.paper_scale_spec()
     else:
         spec = harness.ExperimentSpec()
-    if args.seed is not None:
-        spec.seed = args.seed
-    if getattr(args, "workers", None):
-        spec.workers = args.workers
-    if getattr(args, "realizations", None):
-        spec.realizations = args.realizations
-    return spec
+    # replace() re-runs the spec's validation on the overridden fields
+    overrides = {name: getattr(args, name, None)
+                 for name in ("seed", "workers", "realizations")}
+    return dataclasses.replace(
+        spec, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _train_config(args) -> learn.TrainConfig:

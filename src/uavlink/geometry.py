@@ -294,13 +294,17 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         if key in cfg:
             kwargs[key] = int(cfg[key])
     if "first_link_supports_deg" in cfg:
+        name = "scenario.first_link_supports_deg"
+        pair = cfg["first_link_supports_deg"]
+        _check_fields(pair, ("tx", "rx"), name)
         kwargs["first_link_tx_support"] = _support_from_deg(
-            cfg["first_link_supports_deg"]["tx"])
+            pair["tx"], f"{name}.tx")
         kwargs["first_link_rx_support"] = _support_from_deg(
-            cfg["first_link_supports_deg"]["rx"])
+            pair["rx"], f"{name}.rx")
     if "group_supports_deg_full" in cfg:
         kwargs["group_supports"] = [
-            _support_from_deg(g) for g in cfg["group_supports_deg_full"]]
+            _support_from_deg(g, f"scenario.group_supports_deg_full[{i}]")
+            for i, g in enumerate(cfg["group_supports_deg_full"])]
     return Scenario(**kwargs)
 
 
@@ -345,9 +349,23 @@ def _support_to_deg(sup: AngularSupport) -> dict:
     }
 
 
-def _support_from_deg(d: dict) -> AngularSupport:
-    return AngularSupport(
-        math.radians(float(d["mean_elev_deg"])),
-        math.radians(float(d["mean_azim_deg"])),
-        math.radians(float(d["spread_elev_deg"])),
-        math.radians(float(d["spread_azim_deg"])))
+_SUPPORT_KEYS = ("mean_elev_deg", "mean_azim_deg", "spread_elev_deg",
+                 "spread_azim_deg")
+
+
+def _check_fields(d, keys: tuple[str, ...], name: str) -> None:
+    """Require ``d`` to be a dict of exactly ``keys``, naming the config
+    path ``name`` otherwise."""
+    if not isinstance(d, dict):
+        raise ValueError(f"config field {name} must be an object")
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"missing config field {name}.{key}")
+    unknown = set(d) - set(keys)
+    if unknown:
+        raise ValueError(f"unknown config field {name}.{sorted(unknown)[0]}")
+
+
+def _support_from_deg(d: dict, name: str) -> AngularSupport:
+    _check_fields(d, _SUPPORT_KEYS, name)
+    return AngularSupport(*(math.radians(float(d[k])) for k in _SUPPORT_KEYS))

@@ -22,10 +22,11 @@ import numpy as np
 from . import learn, pso, relay
 from .geometry import Scenario, dbm_to_mw, noise_power, scenario_from_dict, \
     scenario_to_dict
-from .links import Realization
+from .links import RfDesign, Realization, shared_rf
 
 SCHEMES = ("fl_eqpa", "psopa_fl", "psol_eqpa", "psolpa", "exhaustive", "dnn")
 _SCHEME_CODE = {name: i for i, name in enumerate(SCHEMES)}
+ANGLE_MODELS = ("fixed", "geometric")
 _MODEL_CACHE: dict[str, learn.MlpModel] = {}
 
 
@@ -52,8 +53,21 @@ class ExperimentSpec:
             if name not in SCHEMES:
                 raise ValueError(
                     f"unknown scheme {name!r}; valid: {', '.join(SCHEMES)}")
+        if len(set(self.schemes)) != len(self.schemes):
+            raise ValueError("experiment.schemes lists a scheme twice")
+        if not self.p_t_dbm:
+            raise ValueError("experiment.p_t_dbm needs at least one power")
+        if len(set(self.p_t_dbm)) != len(self.p_t_dbm):
+            raise ValueError("experiment.p_t_dbm lists a power twice")
         if self.realizations < 1:
             raise ValueError("need at least one realization")
+        if self.workers < 1:
+            raise ValueError("experiment.workers must be at least 1")
+        if self.angle_model not in ANGLE_MODELS:
+            raise ValueError(f"unknown angle model {self.angle_model!r}; "
+                             f"valid: {', '.join(ANGLE_MODELS)}")
+        if self.grid_dx <= 0.0 or self.grid_dy <= 0.0:
+            raise ValueError("experiment.grid_dx and grid_dy must be positive")
         if "dnn" in self.schemes and not self.model_path:
             raise ValueError("scheme 'dnn' needs experiment.model_path")
 
@@ -118,15 +132,20 @@ def _load_model_cached(path: str) -> learn.MlpModel:
     return _MODEL_CACHE[path]
 
 
-def realization(spec: ExperimentSpec, index: int) -> Realization:
-    """Realization ``index`` of a run, drawn from SeedSequence([seed, index])."""
+def realization(spec: ExperimentSpec, index: int,
+                rf: RfDesign | None = None) -> Realization:
+    """Realization ``index`` of a run, drawn from SeedSequence([seed, index]).
+
+    ``rf`` is the run's shared analog design (``shared_rf``), if it has one.
+    """
     seq = np.random.SeedSequence([int(spec.seed), int(index)])
     return Realization(spec.scenario, np.random.default_rng(seq),
-                       spec.angle_model)
+                       spec.angle_model, rf)
 
 
-def _realization_rows(spec: ExperimentSpec, index: int) -> list[dict]:
-    rlz = realization(spec, index)
+def _realization_rows(spec: ExperimentSpec, index: int,
+                      rf: RfDesign | None) -> list[dict]:
+    rlz = realization(spec, index, rf)
     sigma2_mw = dbm_to_mw(noise_power(spec.scenario))
     rows = []
     for pt_index, p_t in enumerate(spec.p_t_dbm):
@@ -147,14 +166,16 @@ def run(spec: ExperimentSpec, out_dir: str | None = None
         ) -> tuple[list[ResultRow], list[dict]]:
     """Execute the full experiment; optionally write CSVs and a manifest."""
     t0 = time.perf_counter()
+    rf = shared_rf(spec.scenario, spec.angle_model)
     indices = list(range(spec.realizations))
     if spec.workers > 1:
         import multiprocessing as mp
         with mp.Pool(spec.workers) as pool:
             per_index = pool.starmap(
-                _realization_rows, [(spec, i) for i in indices], chunksize=1)
+                _realization_rows, [(spec, i, rf) for i in indices],
+                chunksize=1)
     else:
-        per_index = [_realization_rows(spec, i) for i in indices]
+        per_index = [_realization_rows(spec, i, rf) for i in indices]
     records = [row for rows in per_index for row in rows]
     records.sort(key=lambda r: (r["realization"],
                                 spec.p_t_dbm.index(r["p_t_dbm"]),
@@ -279,10 +300,11 @@ def mean_surface(spec: ExperimentSpec, p_t_dbm: float,
     """Grid surface averaged over the run's realizations."""
     sigma2_mw = dbm_to_mw(noise_power(spec.scenario))
     p_t_mw = dbm_to_mw(p_t_dbm)
+    rf = shared_rf(spec.scenario, spec.angle_model)
     total = None
     xs = ys = None
     for i in range(spec.realizations):
-        grid = pso.exhaustive_grid(realization(spec, i), spec.grid_dx,
+        grid = pso.exhaustive_grid(realization(spec, i, rf), spec.grid_dx,
                                    spec.grid_dy, p_t_mw, sigma2_mw, objective)
         total = grid.values if total is None else total + grid.values
         xs, ys = grid.xs, grid.ys
@@ -315,9 +337,10 @@ def run_delay(spec: ExperimentSpec, queue_bits: list[float],
     delay never exceeds the bufferless one on any realization.
     """
     sigma2_mw = dbm_to_mw(noise_power(spec.scenario))
+    rf = shared_rf(spec.scenario, spec.angle_model)
     delays = {}     # (mode, power index, queue bits) -> one per realization
     for i in range(spec.realizations):
-        rlz = realization(spec, i)
+        rlz = realization(spec, i, rf)
         for pt_index, p_t in enumerate(spec.p_t_dbm):
             p_t_mw = dbm_to_mw(p_t)
             for mode in ("without_buffer", "with_buffer"):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import pso
 from .geometry import Box, Scenario, dbm_to_mw, noise_power, scenario_to_dict
-from .links import Realization
+from .links import RfDesign, Realization, shared_rf
 from .rates import PowerAlloc, scale_alloc
 
 
@@ -324,10 +324,11 @@ def apply_prediction(model: MlpModel, rlz: Realization, p_t_mw: float,
 
 def _dataset_row(scenario: Scenario, master_seed: int, index: int,
                  p_t_mw: float, sigma2_mw: float, pso_cfg: pso.PsoConfig,
-                 angle_model: str) -> dict:
+                 angle_model: str, rf: RfDesign | None) -> dict:
     seq = np.random.SeedSequence([int(master_seed), int(index)])
     draw_seq, solve_seq = seq.spawn(2)
-    rlz = Realization(scenario, np.random.default_rng(draw_seq), angle_model)
+    rlz = Realization(scenario, np.random.default_rng(draw_seq), angle_model,
+                      rf)
     sol = pso.solve_joint(rlz, pso_cfg, p_t_mw, sigma2_mw, solve_seq)
     report = rlz.rate_at(sol.xy, p_t_mw, sigma2_mw, sol.p_hat)
     stages0 = rlz.stages_at(rlz.default_xy, p_t_mw, sigma2_mw)
@@ -352,19 +353,32 @@ def generate_dataset(scenario: Scenario, count: int, master_seed: int,
 
     Row i depends only on (master_seed, i), so generation parallelizes over
     rows and resumes mid-file: existing rows are kept and only the missing
-    tail is computed. A sidecar .meta.json pins the configuration.
+    tail is computed. A sidecar .meta.json pins the configuration; existing
+    rows are resumed only under the configuration it records.
     """
     pso_cfg = pso_cfg or pso.PsoConfig()
     p_t_mw = dbm_to_mw(p_t_dbm)
     sigma2_mw = dbm_to_mw(noise_power(scenario))
+    config = {
+        "master_seed": int(master_seed),
+        "p_t_dbm": float(p_t_dbm),
+        "angle_model": angle_model,
+        "pso": {"particles": pso_cfg.particles,
+                "iterations": pso_cfg.iterations},
+        "scenario": scenario_to_dict(scenario),
+    }
+    meta_path = out_path + ".meta.json"
     existing = 0
     if os.path.exists(out_path):
         with open(out_path) as fh:
             existing = sum(1 for line in fh if line.strip())
+    if existing:
+        _check_resume(out_path, meta_path, existing, config)
     if existing < count:
         indices = list(range(existing, count))
+        rf = shared_rf(scenario, angle_model)
         args = [(scenario, master_seed, i, p_t_mw, sigma2_mw, pso_cfg,
-                 angle_model) for i in indices]
+                 angle_model, rf) for i in indices]
         if workers > 1:
             import multiprocessing as mp
             with mp.Pool(workers) as pool:
@@ -375,18 +389,31 @@ def generate_dataset(scenario: Scenario, count: int, master_seed: int,
         with open(out_path, "a") as fh:
             for row in rows:
                 fh.write(json.dumps(row) + "\n")
-    meta = {
-        "count": count,
-        "master_seed": int(master_seed),
-        "p_t_dbm": float(p_t_dbm),
-        "angle_model": angle_model,
-        "pso": {"particles": pso_cfg.particles,
-                "iterations": pso_cfg.iterations},
-        "scenario": scenario_to_dict(scenario),
-    }
-    with open(out_path + ".meta.json", "w") as fh:
-        json.dump(meta, fh, indent=1)
+    with open(meta_path, "w") as fh:
+        json.dump({"count": count, **config}, fh, indent=1)
     return out_path
+
+
+def _check_resume(out_path: str, meta_path: str, existing: int,
+                  config: dict) -> None:
+    """Refuse to extend rows that another configuration wrote."""
+    if not os.path.exists(meta_path):
+        raise ValueError(f"{out_path} has {existing} rows but no {meta_path}; "
+                         "cannot tell which configuration wrote them")
+    with open(meta_path) as fh:
+        meta = json.load(fh)
+    # compare as JSON sees it: tuples are lists there
+    for name, value in json.loads(json.dumps(config)).items():
+        old = meta.get(name)
+        if old == value:
+            continue
+        if isinstance(old, dict) and isinstance(value, dict):
+            keys = list(value) + [k for k in old if k not in value]
+            key = next(k for k in keys if old.get(k) != value.get(k))
+            name, old, value = f"{name}.{key}", old.get(key), value.get(key)
+        raise ValueError(
+            f"{out_path} was written with a different {name} ({old!r}, now "
+            f"{value!r}); use a new path or the same configuration")
 
 
 def load_dataset(path: str) -> tuple[np.ndarray, np.ndarray, list[dict]]:

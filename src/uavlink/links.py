@@ -24,7 +24,11 @@ from .geometry import Scenario, Position3D, distances, place_users
 
 @dataclass
 class RfDesign:
-    """Analog stages for one scenario (support-driven, channel independent)."""
+    """Analog stages for one scenario (support-driven, channel independent).
+
+    The stage matrices are read-only, because one design may be shared by
+    every realization of a run.
+    """
 
     f_b: np.ndarray
     f_ur: np.ndarray
@@ -70,16 +74,42 @@ def design_rf_stages(scenario: Scenario, users: list[Position3D] | None = None,
         supports, *scenario.uav_tx_array, scenario.element_spacing,
         budget=scenario.rf_budget_uav_tx_per_group,
         minimums=list(scenario.group_sizes))
+    # one design may serve every realization of a run: freeze what it shares
+    for stage in (f_b, f_ur, f_ut):
+        stage.flags.writeable = False
     return RfDesign(f_b=f_b, f_ur=f_ur, f_ut=f_ut, group_slices=slices,
                     pairs_bs=pairs_bs, pairs_uav_rx=pairs_rx,
                     group_pairs=group_pairs)
 
 
+def shared_rf(scenario: Scenario, angle_model: str = "fixed"
+              ) -> RfDesign | None:
+    """The analog stages every realization of ``scenario`` shares, or None
+    when each realization needs its own.
+
+    Under ``fixed`` the stages follow the scenario's supports alone, so one
+    design serves a whole run (and designing consumes no randomness). Under
+    ``geometric`` the group supports follow each realization's users.
+    """
+    if angle_model != "fixed":
+        return None
+    return design_rf_stages(scenario)
+
+
 class Realization:
-    """Drawn paths plus cached RF-collapsed matrices for fast evaluation."""
+    """Drawn paths plus cached RF-collapsed matrices for fast evaluation.
+
+    ``rf`` is an optional prebuilt design for ``scenario`` (see
+    :func:`shared_rf`); without one the realization designs its own.
+    """
 
     def __init__(self, scenario: Scenario, rng: np.random.Generator,
-                 angle_model: str = "fixed"):
+                 angle_model: str = "fixed", rf: RfDesign | None = None):
+        if rf is not None and angle_model != "fixed":
+            raise ValueError(
+                f"a shared RF design needs the fixed angle model, not "
+                f"{angle_model!r}: under geometric the group supports follow "
+                f"each realization's users")
         self.scenario = scenario
         self.angle_model = angle_model
         if scenario.users is not None:
@@ -87,7 +117,8 @@ class Realization:
         else:
             self.users = place_users(rng, scenario.num_users,
                                      scenario.user_xy_range)
-        self.rf = design_rf_stages(scenario, self.users, angle_model)
+        self.rf = rf if rf is not None else design_rf_stages(
+            scenario, self.users, angle_model)
 
         self.first_tx, self.first_rx = ch.draw_first_link(
             scenario, rng, angle_model)

@@ -142,3 +142,39 @@ def test_config_rejects_unknown_fields_by_name():
         with pytest.raises(ValueError,
                            match=f"unknown config field scenario.{key}$"):
             scenario_from_dict({"bs_array": [12, 12], key: 10.0})
+
+
+def _support_deg(**overrides):
+    sup = {"mean_elev_deg": 60.0, "mean_azim_deg": 120.0,
+           "spread_elev_deg": 10.0, "spread_azim_deg": 10.0}
+    sup.update(overrides)
+    return sup
+
+
+@pytest.mark.parametrize("cfg, path", [
+    ({"first_link_supports_deg": {"tx": _support_deg()}},
+     "missing config field scenario.first_link_supports_deg.rx$"),
+    ({"first_link_supports_deg": {"tx": {"mean_elev_deg": 60.0,
+                                         "mean_azim_deg": 120.0,
+                                         "spread_elev_deg": 10.0},
+                                  "rx": _support_deg()}},
+     "missing config field scenario.first_link_supports_deg.tx"
+     ".spread_azim_deg$"),
+    ({"first_link_supports_deg": {"tx": _support_deg(), "rx": _support_deg(),
+                                  "mid": _support_deg()}},
+     "unknown config field scenario.first_link_supports_deg.mid$"),
+    ({"first_link_supports_deg": {"tx": _support_deg(),
+                                  "rx": _support_deg(spread_deg=5.0)}},
+     "unknown config field scenario.first_link_supports_deg.rx.spread_deg$"),
+    ({"group_supports_deg_full": [_support_deg(mean_azim_deg=21.0),
+                                  _support_deg(mean_azim_deg=141.0,
+                                               mean_elev=1.0)]},
+     "unknown config field scenario.group_supports_deg_full\\[1\\]"
+     ".mean_elev$"),
+    ({"group_supports_deg_full": [_support_deg(), [60.0, 120.0, 10.0, 10.0]]},
+     "config field scenario.group_supports_deg_full\\[1\\] must be an "
+     "object$"),
+])
+def test_config_rejects_malformed_supports_by_path(cfg, path):
+    with pytest.raises(ValueError, match=path):
+        scenario_from_dict(cfg)

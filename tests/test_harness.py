@@ -1,10 +1,12 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from uavlink import cli, harness, relay
+from uavlink import cli, harness, learn, links, relay
+from uavlink.beamforming import OverlappingSupports
 from uavlink.geometry import dbm_to_mw, noise_power
 from uavlink.harness import (ExperimentSpec, config_hash, run, spec_from_dict,
                              spec_to_dict)
@@ -62,6 +64,23 @@ def test_scheme_validation():
         ExperimentSpec(realizations=0)
     with pytest.raises(ValueError):
         ExperimentSpec(schemes=["dnn"])
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"workers": 0}, "workers must be at least 1"),
+    ({"p_t_dbm": []}, "needs at least one power"),
+    ({"schemes": ["fl_eqpa", "psolpa", "fl_eqpa"]}, "lists a scheme twice"),
+    ({"p_t_dbm": [10.0, 20.0, 10]}, "lists a power twice"),
+    ({"angle_model": "geometrical"}, "unknown angle model 'geometrical'"),
+    ({"grid_dx": 0.0}, "grid_dx and grid_dy must be positive"),
+    ({"grid_dy": -5.0}, "grid_dx and grid_dy must be positive"),
+], ids=["workers", "empty_powers", "duplicate_scheme", "duplicate_power",
+        "angle_model", "grid_dx", "grid_dy"])
+def test_spec_rejects_invalid_values(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec(**overrides)
+    with pytest.raises(ValueError, match=message):
+        spec_from_dict({"experiment": overrides})
 
 
 def test_spec_round_trip_and_hash():
@@ -140,6 +159,54 @@ def test_run_delay_pairs_the_policy_seeds():
             rep = relay.buffered_rate(rlz, policy, p_t_mw, sigma2_mw)
             delays.append(relay.little_delay(rep.r1, rep.r2, 2.0))
         assert row["delay_buffered"] == float(np.mean(delays))
+
+
+# --- shared RF design -------------------------------------------------------------
+
+@pytest.fixture
+def rf_design_calls(monkeypatch):
+    """Count design_rf_stages calls through the name links binds."""
+    calls = []
+    design = links.design_rf_stages
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return design(*args, **kwargs)
+    monkeypatch.setattr(links, "design_rf_stages", counting)
+    return calls
+
+
+_DESIGNING_CALLS = {
+    "run": lambda spec, tmp_path: run(spec),
+    "mean_surface": lambda spec, tmp_path: harness.mean_surface(spec, 20.0),
+    "run_delay": lambda spec, tmp_path: harness.run_delay(spec, [2.0]),
+    "generate_dataset": lambda spec, tmp_path: learn.generate_dataset(
+        spec.scenario, spec.realizations, spec.seed,
+        str(tmp_path / "rows.jsonl"), spec.pso, angle_model=spec.angle_model),
+}
+
+
+@pytest.mark.parametrize("angle_model", ["fixed", "geometric"])
+@pytest.mark.parametrize("entry", sorted(_DESIGNING_CALLS))
+def test_analog_stages_designed_once_per_fixed_run(entry, angle_model,
+                                                   rf_design_calls, tmp_path):
+    spec = _small_spec(realizations=3, angle_model=angle_model,
+                       p_t_dbm=[20.0], pso=PsoConfig(particles=3,
+                                                     iterations=2))
+    with warnings.catch_warnings():
+        # nearby geometric group supports may share cells at 4x4
+        warnings.simplefilter("ignore", OverlappingSupports)
+        _DESIGNING_CALLS[entry](spec, tmp_path)
+    expected = 1 if angle_model == "fixed" else spec.realizations
+    assert len(rf_design_calls) == expected
+
+
+def test_run_records_match_self_designed_realizations(monkeypatch):
+    spec = _small_spec(schemes=["fl_eqpa", "psopa_fl", "psolpa"])
+    _, shared = run(spec)
+    monkeypatch.setattr(harness, "shared_rf", lambda scenario, model: None)
+    _, own = run(spec)
+    assert shared == own
 
 
 def test_load_spec_from_json_file(tmp_path):
@@ -238,6 +305,40 @@ def test_cli_reports_errors_as_json(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
     assert "bogus_field" in err["message"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--realizations", "0", "--workers", "0"], "at least one realization"),
+    (["--realizations", "0"], "at least one realization"),
+    (["--workers", "0"], "workers must be at least 1"),
+])
+def test_cli_rejects_zero_overrides(tmp_path, capsys, argv, message):
+    code = cli.main(["run", "--out", str(tmp_path / "run")] + argv)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert message in err["message"]
+    assert not os.path.exists(tmp_path / "run")
+
+
+def test_cli_applies_zero_seed(tmp_path):
+    args = cli.build_parser().parse_args(["run", "--seed", "0",
+                                          "--realizations", "3"])
+    spec = cli._load_spec(args)
+    assert (spec.seed, spec.realizations, spec.workers) == (0, 3, 1)
+
+
+def test_cli_reports_malformed_support_as_json(tmp_path, capsys):
+    sup = {"mean_elev_deg": 60.0, "mean_azim_deg": 120.0,
+           "spread_elev_deg": 10.0, "spread_azim_deg": 10.0}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        {"scenario": {"first_link_supports_deg": {"tx": sup}}}))
+    code = cli.main(["run", "--config", str(bad)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "scenario.first_link_supports_deg.rx" in err["message"]
 
 
 def test_cli_train_needs_enough_rows(tmp_path, capsys):

@@ -1,10 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from uavlink import learn
-from uavlink.geometry import Box
+from uavlink.geometry import Box, Scenario
 from uavlink.learn import (DegenerateInput, ShapeMismatch, TrainConfig, backprop,
                            build_features, build_labels, feature_length,
                            forward, generate_dataset, init_model,
@@ -201,6 +202,37 @@ def test_dataset_generation_resume_and_load(tmp_path, desk_scenario):
     assert [r["index"] for r in rows] == [0, 1, 2, 3]
     meta = json.load(open(path + ".meta.json"))
     assert meta["count"] == 4 and meta["master_seed"] == 31
+
+
+def test_dataset_resume_refuses_another_configuration(tmp_path,
+                                                      desk_scenario):
+    path = str(tmp_path / "rows.jsonl")
+    cfg = PsoConfig(particles=4, iterations=3)
+    generate_dataset(desk_scenario, 2, 1, path, pso_cfg=cfg, p_t_dbm=20.0)
+    rows = open(path).read()
+    meta = open(path + ".meta.json").read()
+    with pytest.raises(ValueError, match="different master_seed"):
+        generate_dataset(desk_scenario, 4, 2, path, pso_cfg=cfg, p_t_dbm=40.0)
+    with pytest.raises(ValueError, match="different p_t_dbm"):
+        generate_dataset(desk_scenario, 4, 1, path, pso_cfg=cfg, p_t_dbm=40.0)
+    with pytest.raises(ValueError, match="different pso.iterations"):
+        generate_dataset(desk_scenario, 4, 1, path,
+                         pso_cfg=PsoConfig(particles=4, iterations=4))
+    with pytest.raises(ValueError, match="different scenario.bs_array"):
+        generate_dataset(Scenario(bs_array=(3, 3)), 4, 1, path, pso_cfg=cfg)
+    # nothing appended, and the sidecar still describes the rows
+    assert open(path).read() == rows
+    assert open(path + ".meta.json").read() == meta
+
+
+def test_dataset_resume_needs_the_sidecar(tmp_path, desk_scenario):
+    path = str(tmp_path / "rows.jsonl")
+    cfg = PsoConfig(particles=4, iterations=3)
+    generate_dataset(desk_scenario, 2, 1, path, pso_cfg=cfg)
+    os.remove(path + ".meta.json")
+    with pytest.raises(ValueError, match="no .*meta.json"):
+        generate_dataset(desk_scenario, 4, 1, path, pso_cfg=cfg)
+    assert len(open(path).read().splitlines()) == 2
 
 
 def test_dataset_rows_independent_of_batching(tmp_path, desk_scenario):

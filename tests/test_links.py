@@ -7,7 +7,8 @@ from uavlink import rates
 from uavlink.beamforming import OverlappingSupports
 from uavlink.geometry import OutOfBox, Position3D, Scenario
 from uavlink.harness import ExperimentSpec, realization
-from uavlink.links import make_realization
+from uavlink.links import (Realization, design_rf_stages, make_realization,
+                           shared_rf)
 
 
 def test_batch_matches_single_point_formulas(desk_realization, p20_mw,
@@ -116,3 +117,38 @@ def test_rate_at_accepts_relative_powers(desk_realization, p20_mw,
     # single-user allocation: no interference for that user, zero rate others
     assert skew.sinr[0] > base.sinr[0]
     assert np.allclose(skew.sinr[1:], 0.0, atol=1e-30)
+
+
+def test_rf_design_stages_are_read_only(desk_scenario, desk_realization,
+                                        p20_mw, desk_sigma2):
+    # one design reaches every realization of a run, so none may edit it
+    rf = design_rf_stages(desk_scenario)
+    stages = desk_realization.stages_at(desk_realization.default_xy, p20_mw,
+                                        desk_sigma2)
+    for stage in (rf.f_b, rf.f_ur, rf.f_ut, stages.f_b, stages.f_ur,
+                  stages.f_ut):
+        with pytest.raises(ValueError, match="read-only"):
+            stage[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            stage *= 2.0
+
+
+def test_shared_rf_design_builds_the_same_realization(desk_scenario, p20_mw,
+                                                      desk_sigma2):
+    rf = shared_rf(desk_scenario, "fixed")
+    own = make_realization(desk_scenario, 31)
+    shared = Realization(desk_scenario, np.random.default_rng(31), rf=rf)
+    assert shared.rf is rf
+    assert np.array_equal(own.h1_raw, shared.h1_raw)
+    assert np.array_equal(own.h2_raw, shared.h2_raw)
+    a = own.rate_at(own.default_xy, p20_mw, desk_sigma2)
+    b = shared.rate_at(shared.default_xy, p20_mw, desk_sigma2)
+    assert (a.r1, a.r2) == (b.r1, b.r2)
+
+
+def test_geometric_angle_model_refuses_a_shared_design(desk_scenario):
+    assert shared_rf(desk_scenario, "geometric") is None
+    rf = design_rf_stages(desk_scenario)
+    with pytest.raises(ValueError, match="geometric"):
+        Realization(desk_scenario, np.random.default_rng(0),
+                    angle_model="geometric", rf=rf)
