@@ -96,34 +96,26 @@ def _apply_scheme(rlz: Realization, scheme: str, p_t_mw: float,
                   seed_seq: np.random.SeedSequence):
     """One scheme on one realization; reported rates all go through the
     reference single-point formulas for comparability."""
-    if scheme == "fl_eqpa":
-        xy = rlz.default_xy
-        report = rlz.rate_at(xy, p_t_mw, sigma2_mw)
-    elif scheme == "psopa_fl":
-        sol = pso.solve_pa_fixed_loc(rlz, rlz.default_xy, spec.pso, p_t_mw,
-                                     sigma2_mw, seed_seq)
-        xy = rlz.default_xy
-        report = rlz.rate_at(xy, p_t_mw, sigma2_mw, sol.p_hat)
+    xy, p_hat = rlz.default_xy, None      # None: equal power allocation
+    if scheme == "psopa_fl":
+        p_hat = pso.solve_pa_fixed_loc(rlz, xy, spec.pso, p_t_mw, sigma2_mw,
+                                       seed_seq).p_hat
     elif scheme == "psol_eqpa":
-        sol = pso.solve_loc_equal_pa(rlz, spec.pso, p_t_mw, sigma2_mw,
-                                     seed_seq)
-        xy = sol.xy
-        report = rlz.rate_at(xy, p_t_mw, sigma2_mw)
+        xy = pso.solve_loc_equal_pa(rlz, spec.pso, p_t_mw, sigma2_mw,
+                                    seed_seq).xy
     elif scheme == "psolpa":
         sol = pso.solve_joint(rlz, spec.pso, p_t_mw, sigma2_mw, seed_seq)
-        xy = sol.xy
-        report = rlz.rate_at(xy, p_t_mw, sigma2_mw, sol.p_hat)
+        xy, p_hat = sol.xy, sol.p_hat
     elif scheme == "exhaustive":
-        grid = pso.exhaustive_grid(rlz, spec.grid_dx, spec.grid_dy, p_t_mw,
-                                   sigma2_mw)
-        xy = grid.best_xy
-        report = rlz.rate_at(xy, p_t_mw, sigma2_mw)
+        xy = pso.exhaustive_grid(rlz, spec.grid_dx, spec.grid_dy, p_t_mw,
+                                 sigma2_mw).best_xy
     elif scheme == "dnn":
         model = _load_model_cached(spec.model_path)
         xy, _, report = learn.apply_prediction(model, rlz, p_t_mw, sigma2_mw)
-    else:
+        return xy, report
+    elif scheme != "fl_eqpa":
         raise ValueError(f"unknown scheme {scheme!r}")
-    return xy, report
+    return xy, rlz.rate_at(xy, p_t_mw, sigma2_mw, p_hat)
 
 
 def _load_model_cached(path: str) -> learn.MlpModel:
@@ -240,16 +232,7 @@ def _fmt(x) -> str:
 def spec_to_dict(spec: ExperimentSpec) -> dict:
     return {
         "scenario": scenario_to_dict(spec.scenario),
-        "pso": {
-            "particles": spec.pso.particles,
-            "iterations": spec.pso.iterations,
-            "gamma1": spec.pso.gamma1,
-            "gamma2": spec.pso.gamma2,
-            "inertia": spec.pso.inertia,
-            "inertia_schedule": list(spec.pso.inertia_schedule)
-            if spec.pso.inertia_schedule else None,
-            "velocity_clip": list(spec.pso.velocity_clip),
-        },
+        "pso": pso.config_to_dict(spec.pso),
         "experiment": {
             "schemes": list(spec.schemes),
             "p_t_dbm": list(spec.p_t_dbm),
@@ -369,8 +352,6 @@ def run_delay(spec: ExperimentSpec, queue_bits: list[float],
 
 # --- configuration boundary ------------------------------------------------------
 
-_PSO_KEYS = {"particles", "iterations", "gamma1", "gamma2", "inertia",
-             "inertia_schedule", "velocity_clip"}
 _EXP_KEYS = {"schemes", "p_t_dbm", "realizations", "seed", "workers",
              "angle_model", "grid_dx", "grid_dy", "model_path"}
 
@@ -381,16 +362,7 @@ def spec_from_dict(cfg: dict) -> ExperimentSpec:
         if key not in ("scenario", "pso", "experiment", "dnn"):
             raise ValueError(f"unknown config section {key!r}")
     scenario = scenario_from_dict(cfg.get("scenario", {}))
-    pso_cfg = cfg.get("pso", {})
-    unknown = set(pso_cfg) - _PSO_KEYS
-    if unknown:
-        raise ValueError(f"unknown config field pso.{sorted(unknown)[0]}")
-    kwargs = dict(pso_cfg)
-    if kwargs.get("inertia_schedule") is not None:
-        kwargs["inertia_schedule"] = tuple(kwargs["inertia_schedule"])
-    if "velocity_clip" in kwargs:
-        kwargs["velocity_clip"] = tuple(kwargs["velocity_clip"])
-    swarm_cfg = pso.PsoConfig(**kwargs)
+    swarm_cfg = pso.config_from_dict(cfg.get("pso", {}))
     exp_cfg = cfg.get("experiment", {})
     unknown = set(exp_cfg) - _EXP_KEYS
     if unknown:

@@ -10,9 +10,11 @@ differences.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -322,9 +324,9 @@ def apply_prediction(model: MlpModel, rlz: Realization, p_t_mw: float,
 
 # --- dataset generation -------------------------------------------------------
 
-def _dataset_row(scenario: Scenario, master_seed: int, index: int,
-                 p_t_mw: float, sigma2_mw: float, pso_cfg: pso.PsoConfig,
-                 angle_model: str, rf: RfDesign | None) -> dict:
+def _dataset_row(scenario: Scenario, master_seed: int, p_t_mw: float,
+                 sigma2_mw: float, pso_cfg: pso.PsoConfig, angle_model: str,
+                 rf: RfDesign | None, index: int) -> dict:
     seq = np.random.SeedSequence([int(master_seed), int(index)])
     draw_seq, solve_seq = seq.spawn(2)
     rlz = Realization(scenario, np.random.default_rng(draw_seq), angle_model,
@@ -353,8 +355,10 @@ def generate_dataset(scenario: Scenario, count: int, master_seed: int,
 
     Row i depends only on (master_seed, i), so generation parallelizes over
     rows and resumes mid-file: existing rows are kept and only the missing
-    tail is computed. A sidecar .meta.json pins the configuration; existing
-    rows are resumed only under the configuration it records.
+    tail is computed. Each row is appended as soon as it is computed, so a
+    crash loses at most the rows in flight. A sidecar .meta.json pins the
+    configuration and the row count; existing rows are resumed only under
+    the configuration it records.
     """
     pso_cfg = pso_cfg or pso.PsoConfig()
     p_t_mw = dbm_to_mw(p_t_dbm)
@@ -363,35 +367,53 @@ def generate_dataset(scenario: Scenario, count: int, master_seed: int,
         "master_seed": int(master_seed),
         "p_t_dbm": float(p_t_dbm),
         "angle_model": angle_model,
-        "pso": {"particles": pso_cfg.particles,
-                "iterations": pso_cfg.iterations},
+        "pso": pso.config_to_dict(pso_cfg),
         "scenario": scenario_to_dict(scenario),
     }
     meta_path = out_path + ".meta.json"
-    existing = 0
-    if os.path.exists(out_path):
-        with open(out_path) as fh:
-            existing = sum(1 for line in fh if line.strip())
+    existing = _count_rows(out_path) if os.path.exists(out_path) else 0
     if existing:
         _check_resume(out_path, meta_path, existing, config)
     if existing < count:
-        indices = list(range(existing, count))
-        rf = shared_rf(scenario, angle_model)
-        args = [(scenario, master_seed, i, p_t_mw, sigma2_mw, pso_cfg,
-                 angle_model, rf) for i in indices]
-        if workers > 1:
-            import multiprocessing as mp
-            with mp.Pool(workers) as pool:
-                rows = pool.starmap(_dataset_row, args, chunksize=4)
-        else:
-            rows = [_dataset_row(*a) for a in args]
-        rows.sort(key=lambda r: r["index"])
-        with open(out_path, "a") as fh:
-            for row in rows:
+        # sidecar first: a crash must leave rows that a resume can check
+        _write_meta(meta_path, existing, config)
+        row_at = functools.partial(
+            _dataset_row, scenario, master_seed, p_t_mw, sigma2_mw, pso_cfg,
+            angle_model, shared_rf(scenario, angle_model))
+        indices = range(existing, count)
+        import multiprocessing as mp
+        with (mp.Pool(workers) if workers > 1 else nullcontext()) as pool, \
+                open(out_path, "a") as fh:
+            rows = (pool.imap(row_at, indices, chunksize=4) if pool
+                    else map(row_at, indices))
+            for row in rows:    # in index order, each on disk once computed
                 fh.write(json.dumps(row) + "\n")
+                fh.flush()
+    _write_meta(meta_path, max(existing, count), config)
+    return out_path
+
+
+def _write_meta(meta_path: str, count: int, config: dict) -> None:
     with open(meta_path, "w") as fh:
         json.dump({"count": count, **config}, fh, indent=1)
-    return out_path
+
+
+def _count_rows(path: str) -> int:
+    """Rows already in a dataset; a torn last row is refused by line number."""
+    with open(path) as fh:
+        lines = [(number, line) for number, line in enumerate(fh, 1)
+                 if line.strip()]
+    if lines:
+        number, line = lines[-1]
+        try:
+            json.loads(line)
+            torn = not line.endswith("\n")
+        except ValueError:
+            torn = True
+        if torn:
+            raise ValueError(f"{path} line {number} is not a complete row; "
+                             "remove that line to resume")
+    return len(lines)
 
 
 def _check_resume(out_path: str, meta_path: str, existing: int,
@@ -426,6 +448,13 @@ def load_dataset(path: str) -> tuple[np.ndarray, np.ndarray, list[dict]]:
     if not rows:
         raise ValueError(f"no rows in {path}")
     rows.sort(key=lambda r: r["index"])
+    for i, row in enumerate(rows):
+        if row["index"] != i:
+            # sorted, so a larger index skips i and a smaller one repeats
+            what = "is missing" if row["index"] > i else "appears twice"
+            raise ValueError(
+                f"{path}: row index {min(i, row['index'])} {what}; rows "
+                f"must carry the indices 0..{len(rows) - 1} once each")
     width = len(rows[0]["features"])
     if any(len(r["features"]) != width for r in rows):
         raise ShapeMismatch("inconsistent feature width across rows")

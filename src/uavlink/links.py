@@ -3,10 +3,11 @@
 With the angular supports held fixed, moving the UAV only rescales the
 first-link matrix by one pathloss amplitude and each second-link row by one
 per-user amplitude. A realization therefore caches the RF-collapsed raw
-matrices (and the first link's SVD, which is scale invariant) once, and
-evaluates whole batches of candidate positions with stacked numpy ops.
-The batched math is the same formula as :mod:`uavlink.rates`, which is what
-the consistency tests pin down.
+matrices, the first link's SVD stages (scale invariant) and the second
+link's K x K Gram once, and evaluates whole batches of candidate positions
+with stacked numpy ops: the first hop as a difference of log-dets, the
+second through the push-through form of RZF on K x K matrices only, with
+the SINR of :func:`uavlink.rates.sinr_from_couplings`.
 """
 
 from __future__ import annotations
@@ -133,13 +134,8 @@ class Realization:
 
         k = scenario.num_users
         self._eff1_raw = self.rf.f_ur @ self.h1_raw @ self.rf.f_b
-        u, s, vh = np.linalg.svd(self._eff1_raw)
-        if min(self._eff1_raw.shape) < k or s[k - 1] <= s[0] * 1e-12:
-            raise bf.RankDeficient(
-                "first-link effective channel cannot carry one stream per user")
-        self._svals = s[:k]
-        self._v1k = vh[:k].conj().T          # N_RFb x K
-        self._b_ur = u[:, :k].conj().T       # K x N_RFu_rx
+        # at unit power per stream the precoder is V[:, :K] itself
+        self._v1k, self._b_ur, _ = bf.bb_first_link(self._eff1_raw, k, k)
         m0 = self._b_ur @ self._eff1_raw @ self._v1k
         self._s0 = m0 @ m0.conj().T
         self._s0 = 0.5 * (self._s0 + self._s0.conj().T)
@@ -147,6 +143,7 @@ class Realization:
         self._q1_unit = w @ w.conj().T
         self._q1_unit = 0.5 * (self._q1_unit + self._q1_unit.conj().T)
         self._eff2_raw = self.h2_raw @ self.rf.f_ut
+        self._gram2 = self._eff2_raw @ self._eff2_raw.conj().T   # K x K
         self._user_xyz = np.array([u.as_array() for u in self.users])
 
     # -- geometry ------------------------------------------------------------
@@ -158,6 +155,13 @@ class Realization:
     @property
     def default_xy(self) -> np.ndarray:
         return np.array([self.scenario.uav.x, self.scenario.uav.y])
+
+    def _pathloss(self, xys) -> tuple[np.ndarray, ...]:
+        """Hop distances tau1 (n,), tau2 (n, K) and their amplitudes."""
+        sc = self.scenario
+        taus = distances(sc, xys, self._user_xyz)
+        return (*taus, *(ch.pathloss_amplitude(t, sc.ref_pathloss_db,
+                                               sc.pathloss_exp) for t in taus))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -172,13 +176,10 @@ class Realization:
         xys = np.atleast_2d(np.asarray(xys, dtype=float))
         n = xys.shape[0]
         k = self.num_users
-        sc = self.scenario
-        tau1, tau2 = distances(sc, xys, self._user_xyz)
-        amp1 = ch.pathloss_amplitude(tau1, sc.ref_pathloss_db, sc.pathloss_exp)
-        amp2 = ch.pathloss_amplitude(tau2, sc.ref_pathloss_db, sc.pathloss_exp)
+        _, _, amp1, amp2 = self._pathloss(xys)
 
         # first hop: scaled identity-plus-covariance log-dets
-        scale = (np.asarray(amp1) ** 2) * (p_t_mw / k)
+        scale = amp1 ** 2 * (p_t_mw / k)
         q = sigma2_mw * self._q1_unit
         sign_q, logdet_q = np.linalg.slogdet(q)
         arg = q[None, :, :] + scale[:, None, None] * self._s0[None, :, :]
@@ -188,36 +189,28 @@ class Realization:
                 "noise covariance lost positive definiteness")
         r1 = (logdet_t - logdet_q) / math.log(2.0)
 
-        # second hop: per-candidate RZF and SINR
-        e2 = amp2[:, :, None] * self._eff2_raw[None, :, :]      # n x K x N
-        e2h = e2.conj().transpose(0, 2, 1)                       # n x N x K
-        n_rf = e2.shape[2]
+        # second hop: RZF B = (E^H E + cI)^-1 E^H = E^H A^-1 (push-through),
+        # A = G + cI with G = E E^H = D G0 D; then C = E B = G A^-1 and the
+        # column gains diag(B^H B) = diag(A^-1 G A^-1), all K x K
+        gram = amp2[:, :, None] * self._gram2[None, :, :] * amp2[:, None, :]
+        n_rf = self._eff2_raw.shape[1]
         ridge = sigma2_mw / p_t_mw
-        gram = e2h @ e2 + (ridge * n_rf) * np.eye(n_rf)[None, :, :]
-        b_ut = np.linalg.solve(gram, e2h)                        # n x N x K
-        c = e2 @ b_ut                                            # n x K x K
-        col_gain = np.sum(np.abs(b_ut) ** 2, axis=1)             # n x K
+        a_inv = np.linalg.inv(gram + (ridge * n_rf) * np.eye(k)[None, :, :])
+        c = gram @ a_inv                                         # n x K x K
+        col_gain = np.einsum("nkj,njk->nk", a_inv, c).real       # n x K
 
-        if p_hat is None:
-            p_hat_arr = np.ones((n, k))
-        else:
-            p_hat_arr = np.asarray(p_hat, dtype=float)
-            if p_hat_arr.ndim == 1:
-                p_hat_arr = np.broadcast_to(p_hat_arr, (n, k)).copy()
-            if p_hat_arr.shape != (n, k) or np.any(p_hat_arr < 0.0):
-                raise ValueError("relative powers must be (K,) or (n, K), >= 0")
+        p_hat_arr = np.asarray(1.0 if p_hat is None else p_hat, dtype=float)
+        if p_hat is None or p_hat_arr.ndim == 1:
+            p_hat_arr = np.broadcast_to(p_hat_arr, (n, k))
+        if p_hat_arr.shape != (n, k) or np.any(p_hat_arr < 0.0):
+            raise ValueError("relative powers must be (K,) or (n, K), >= 0")
         weighted = np.sum(p_hat_arr * col_gain, axis=1)
         if np.any(weighted <= 0.0):
             raise rates.AllZeroAlloc(
                 "allocation carries no power on any active column")
         alloc = (p_t_mw / weighted)[:, None] * p_hat_arr         # kappa^2 p_hat
 
-        gains2 = np.abs(c) ** 2
-        diag = gains2[:, np.arange(k), np.arange(k)].copy()
-        signal = alloc * diag
-        gains2[:, np.arange(k), np.arange(k)] = 0.0
-        interference = np.einsum("nkj,nj->nk", gains2, alloc)
-        sinr = signal / (interference + sigma2_mw)
+        sinr = rates.sinr_from_couplings(c, alloc, sigma2_mw)
         r2 = np.sum(np.log2(1.0 + sinr), axis=1)
 
         return BatchEval(r1=r1, r2=r2, r_total=0.5 * np.minimum(r1, r2),
@@ -225,15 +218,9 @@ class Realization:
 
     def stages_at(self, xy, p_t_mw: float, sigma2_mw: float) -> bf.HbfStages:
         """Full stage set at one position, reusing the cached first-link SVD."""
-        xy = np.asarray(xy, dtype=float)
-        sc = self.scenario
-        tau1, tau2 = distances(sc, xy, self._user_xyz)
-        amp1 = float(ch.pathloss_amplitude(tau1[0], sc.ref_pathloss_db,
-                                           sc.pathloss_exp))
-        amp2 = ch.pathloss_amplitude(tau2[0], sc.ref_pathloss_db,
-                                     sc.pathloss_exp)
-        eff1 = amp1 * self._eff1_raw
-        eff2 = amp2[:, None] * self._eff2_raw
+        _, _, amp1, amp2 = self._pathloss(np.asarray(xy, dtype=float))
+        eff1 = float(amp1[0]) * self._eff1_raw
+        eff2 = amp2[0][:, None] * self._eff2_raw
         b_b = math.sqrt(p_t_mw / self.num_users) * self._v1k
         b_ut = bf.bb_second_link(eff2, sigma2_mw / p_t_mw)
         return bf.HbfStages(
@@ -257,14 +244,9 @@ class Realization:
     def channel_pair_at(self, xy) -> ch.ChannelPair:
         """Physical channel matrices at one position (shared path draws)."""
         xy = np.asarray(xy, dtype=float)
-        sc = self.scenario
-        tau1, tau2 = distances(sc, xy, self._user_xyz)
-        amp1 = float(ch.pathloss_amplitude(tau1[0], sc.ref_pathloss_db,
-                                           sc.pathloss_exp))
-        amp2 = ch.pathloss_amplitude(tau2[0], sc.ref_pathloss_db,
-                                     sc.pathloss_exp)
+        tau1, tau2, amp1, amp2 = self._pathloss(xy)
         return ch.ChannelPair(
-            h1=amp1 * self.h1_raw, h2=amp2[:, None] * self.h2_raw,
+            h1=float(amp1[0]) * self.h1_raw, h2=amp2[0][:, None] * self.h2_raw,
             tau1=float(tau1[0]), tau2=tau2[0], uav_xy=xy,
             first_link_tx=self.first_tx, first_link_rx=self.first_rx,
             user_paths=self.user_paths)

@@ -11,7 +11,7 @@ so no execution order can reshuffle the stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -48,6 +48,21 @@ class PsoConfig:
         upper, lower = self.inertia_schedule
         frac = iteration / max(self.iterations, 1)
         return upper - frac * (upper - lower)
+
+
+def config_to_dict(cfg: PsoConfig) -> dict:
+    """JSON form of every swarm setting (the config file's ``pso`` section)."""
+    return {name: list(value) if isinstance(value, tuple) else value
+            for name, value in asdict(cfg).items()}
+
+
+def config_from_dict(section: dict) -> PsoConfig:
+    """Inverse of :func:`config_to_dict`; unknown fields are errors."""
+    unknown = set(section) - {f.name for f in fields(PsoConfig)}
+    if unknown:
+        raise ValueError(f"unknown config field pso.{sorted(unknown)[0]}")
+    return PsoConfig(**{name: tuple(value) if isinstance(value, list) else value
+                        for name, value in section.items()})
 
 
 @dataclass

@@ -79,18 +79,25 @@ def coupling_matrix(stages: HbfStages) -> np.ndarray:
     return stages.eff2 @ stages.b_ut
 
 
+def sinr_from_couplings(c: np.ndarray, p: np.ndarray, sigma2_mw: float
+                        ) -> np.ndarray:
+    """Per-user SINR p_k |c_kk|^2 / (sigma^2 + sum_{j != k} p_j |c_kj|^2)
+    from (..., K, K) couplings and (..., K) powers (leading axes batch)."""
+    gains = np.abs(c) ** 2
+    own = np.arange(gains.shape[-1])
+    signal = p * gains[..., own, own]
+    gains[..., own, own] = 0.0
+    interference = (gains @ p[..., None])[..., 0]
+    return signal / (interference + sigma2_mw)
+
+
 def sinr_per_user(stages: HbfStages, alloc: PowerAlloc, sigma2_mw: float
                   ) -> np.ndarray:
     """Per-user SINR on the UAV->users hop for a given allocation."""
     c = coupling_matrix(stages)
     if alloc.num_users != c.shape[0]:
         raise ValueError("allocation size does not match the user count")
-    gains = np.abs(c) ** 2
-    signal = alloc.p * np.diag(gains)
-    off_diag = gains.copy()
-    np.fill_diagonal(off_diag, 0.0)
-    interference = off_diag @ alloc.p
-    return signal / (interference + sigma2_mw)
+    return sinr_from_couplings(c, alloc.p, sigma2_mw)
 
 
 def interference_split(stages: HbfStages, alloc: PowerAlloc,
@@ -99,21 +106,13 @@ def interference_split(stages: HbfStages, alloc: PowerAlloc,
 
     The two parts partition the off-diagonal coupling sum exactly.
     """
-    c = coupling_matrix(stages)
-    gains = np.abs(c) ** 2
-    k = c.shape[0]
+    gains = np.abs(coupling_matrix(stages)) ** 2
     group_of = np.repeat(np.arange(len(group_sizes)), group_sizes)
-    if group_of.size != k:
+    if group_of.size != gains.shape[0]:
         raise ValueError("group sizes do not sum to the user count")
-    intra = np.zeros(k)
-    inter = np.zeros(k)
-    for i in range(k):
-        same = group_of == group_of[i]
-        same_i = same.copy()
-        same_i[i] = False
-        intra[i] = gains[i, same_i] @ alloc.p[same_i]
-        inter[i] = gains[i, ~same] @ alloc.p[~same]
-    return intra, inter
+    same = group_of[:, None] == group_of[None, :]
+    np.fill_diagonal(gains, 0.0)
+    return (gains * same) @ alloc.p, (gains * ~same) @ alloc.p
 
 
 def rate_second_link(stages: HbfStages, alloc: PowerAlloc, sigma2_mw: float

@@ -235,6 +235,79 @@ def test_dataset_resume_needs_the_sidecar(tmp_path, desk_scenario):
     assert len(open(path).read().splitlines()) == 2
 
 
+def test_dataset_resume_refuses_other_swarm_settings(tmp_path,
+                                                     desk_scenario):
+    path = str(tmp_path / "rows.jsonl")
+    generate_dataset(desk_scenario, 2, 1, path,
+                     pso_cfg=PsoConfig(particles=4, iterations=3, inertia=1.1))
+    with pytest.raises(ValueError, match=r"different pso\.inertia"):
+        generate_dataset(desk_scenario, 4, 1, path, pso_cfg=PsoConfig(
+            particles=4, iterations=3, inertia=0.3))
+    assert len(open(path).read().splitlines()) == 2
+
+
+def test_dataset_sidecar_counts_the_rows_in_the_file(tmp_path,
+                                                      desk_scenario):
+    path = str(tmp_path / "rows.jsonl")
+    cfg = PsoConfig(particles=4, iterations=3)
+    generate_dataset(desk_scenario, 4, 1, path, pso_cfg=cfg)
+    generate_dataset(desk_scenario, 2, 1, path, pso_cfg=cfg)
+    assert len(open(path).read().splitlines()) == 4
+    assert json.load(open(path + ".meta.json"))["count"] == 4
+
+
+def test_dataset_rows_survive_a_crash(tmp_path, desk_scenario, monkeypatch):
+    cfg = PsoConfig(particles=4, iterations=3)
+    whole = str(tmp_path / "whole.jsonl")
+    generate_dataset(desk_scenario, 4, 5, whole, pso_cfg=cfg)
+    path = str(tmp_path / "rows.jsonl")
+    row = learn._dataset_row
+
+    def crash_at_two(*args):
+        if args[-1] == 2:
+            raise RuntimeError("killed")
+        return row(*args)
+
+    monkeypatch.setattr(learn, "_dataset_row", crash_at_two)
+    with pytest.raises(RuntimeError, match="killed"):
+        generate_dataset(desk_scenario, 4, 5, path, pso_cfg=cfg)
+    assert open(path).read().splitlines() == \
+        open(whole).read().splitlines()[:2]
+    monkeypatch.undo()
+    generate_dataset(desk_scenario, 4, 5, path, pso_cfg=cfg)
+    assert open(path).read() == open(whole).read()
+
+
+def test_dataset_resume_refuses_a_torn_last_row(tmp_path, desk_scenario):
+    path = str(tmp_path / "rows.jsonl")
+    cfg = PsoConfig(particles=4, iterations=3)
+    generate_dataset(desk_scenario, 2, 1, path, pso_cfg=cfg)
+    lines = open(path).read().splitlines()
+    with open(path, "a") as fh:
+        fh.write(lines[1][:40])
+    torn = open(path).read()
+    with pytest.raises(ValueError, match="line 3 is not a complete row"):
+        generate_dataset(desk_scenario, 4, 1, path, pso_cfg=cfg)
+    assert open(path).read() == torn
+
+
+def _index_rows(path, indices):
+    path.write_text("".join(
+        json.dumps({"index": i, "features": [1.0, 2.0],
+                    "labels": [0.1, 0.2, 0.3]}) + "\n" for i in indices))
+    return str(path)
+
+
+def test_load_dataset_rejects_a_missing_index(tmp_path):
+    with pytest.raises(ValueError, match="row index 1 is missing"):
+        load_dataset(_index_rows(tmp_path / "gap.jsonl", [0, 2, 3]))
+
+
+def test_load_dataset_rejects_a_repeated_index(tmp_path):
+    with pytest.raises(ValueError, match="row index 1 appears twice"):
+        load_dataset(_index_rows(tmp_path / "twice.jsonl", [1, 0, 1]))
+
+
 def test_dataset_rows_independent_of_batching(tmp_path, desk_scenario):
     cfg = PsoConfig(particles=4, iterations=3)
     one = str(tmp_path / "one.jsonl")

@@ -5,21 +5,27 @@ import pytest
 
 from uavlink import rates
 from uavlink.beamforming import OverlappingSupports
-from uavlink.geometry import OutOfBox, Position3D, Scenario
-from uavlink.harness import ExperimentSpec, realization
+from uavlink.geometry import (OutOfBox, Position3D, Scenario, dbm_to_mw,
+                              noise_power)
+from uavlink.harness import ExperimentSpec, paper_scale_spec, realization
 from uavlink.links import (Realization, design_rf_stages, make_realization,
                            shared_rf)
 
 
-def test_batch_matches_single_point_formulas(desk_realization, p20_mw,
-                                             desk_sigma2):
-    rlz = desk_realization
+@pytest.mark.parametrize("scenario", [
+    Scenario(),                           # desk: 4x4 arrays
+    paper_scale_spec().scenario,          # 12x12 arrays, N_RF > K
+    Scenario(element_spacing=0.7),        # non-orthogonal grid, Q1 != I
+], ids=["desk", "paper_scale", "spacing_0.7"])
+def test_batch_matches_single_point_formulas(scenario, p20_mw):
+    rlz = make_realization(scenario, 12345)
+    sigma2 = dbm_to_mw(noise_power(scenario))
     rng = np.random.default_rng(0)
     xys = rng.uniform(5.0, 95.0, size=(6, 2))
     p_hat = rng.uniform(0.05, 2.0, size=rlz.num_users)
-    batch = rlz.evaluate_batch(xys, p20_mw, desk_sigma2, p_hat)
+    batch = rlz.evaluate_batch(xys, p20_mw, sigma2, p_hat)
     for i, xy in enumerate(xys):
-        rep = rlz.rate_at(xy, p20_mw, desk_sigma2, p_hat)
+        rep = rlz.rate_at(xy, p20_mw, sigma2, p_hat)
         assert batch.r1[i] == pytest.approx(rep.r1, rel=1e-9)
         assert batch.r2[i] == pytest.approx(rep.r2, rel=1e-9)
         assert batch.r_total[i] == pytest.approx(rep.r_total, rel=1e-9)

@@ -52,6 +52,19 @@ def test_sinr_matches_brute_force_oracle():
         assert np.allclose(got, want, rtol=1e-10, atol=0.0)
 
 
+def test_batched_sinr_equals_per_slice_sinr():
+    rng = np.random.default_rng(5)
+    stages = [[random_stages(rng, k=4) for _ in range(3)] for _ in range(2)]
+    p = rng.uniform(0.1, 5.0, size=(2, 3, 4))
+    c = np.array([[rates.coupling_matrix(st) for st in row] for row in stages])
+    batch = rates.sinr_from_couplings(c, p, 1e-6)
+    assert batch.shape == (2, 3, 4)
+    for i, row in enumerate(stages):
+        for j, st in enumerate(row):
+            one = rates.sinr_per_user(st, rates.PowerAlloc(p[i, j]), 1e-6)
+            assert np.array_equal(batch[i, j], one)
+
+
 def test_identity_coupling_gives_unit_sinr_and_rate_k():
     k = 4
     stages = HbfStages(
@@ -143,6 +156,11 @@ def test_interference_split_partitions_total():
     gains = np.abs(c) ** 2
     total = gains @ alloc.p - np.diag(gains) * alloc.p
     assert np.allclose(intra + inter, total, rtol=1e-12)
+    group = [0, 0, 1, 1]
+    for i in range(4):
+        own = sum(gains[i, j] * alloc.p[j] for j in range(4)
+                  if j != i and group[j] == group[i])
+        assert intra[i] == pytest.approx(own, rel=1e-12)
     sinr = rates.sinr_per_user(stages, alloc, 1e-6)
     assert np.allclose(sinr, np.diag(gains) * alloc.p / (intra + inter + 1e-6),
                        rtol=1e-12)
