@@ -126,11 +126,11 @@ def _dispatch(args) -> int:
 
     if args.command == "dataset":
         spec = _load_spec(args)
-        learn.generate_dataset(spec.scenario, args.count, spec.seed,
-                               args.out, spec.pso, args.p_t_dbm,
-                               workers=args.workers,
-                               angle_model=spec.angle_model)
-        print(f"wrote {args.count} rows to {args.out}")
+        rows = learn.generate_dataset(spec.scenario, args.count, spec.seed,
+                                      args.out, spec.pso, args.p_t_dbm,
+                                      workers=args.workers,
+                                      angle_model=spec.angle_model)
+        print(f"{args.out} holds {rows} rows")
         return 0
 
     if args.command == "train":

@@ -26,6 +26,7 @@ from .links import RfDesign, Realization, shared_rf
 
 SCHEMES = ("fl_eqpa", "psopa_fl", "psol_eqpa", "psolpa", "exhaustive", "dnn")
 _SCHEME_CODE = {name: i for i, name in enumerate(SCHEMES)}
+_SWARM_SCHEMES = ("psopa_fl", "psol_eqpa", "psolpa")
 ANGLE_MODELS = ("fixed", "geometric")
 _MODEL_CACHE: dict[str, learn.MlpModel] = {}
 
@@ -92,20 +93,16 @@ def _solver_seed(spec: ExperimentSpec, index: int, scheme: str,
 
 
 def _apply_scheme(rlz: Realization, scheme: str, p_t_mw: float,
-                  sigma2_mw: float, spec: ExperimentSpec,
-                  seed_seq: np.random.SeedSequence):
+                  sigma2_mw: float, spec: ExperimentSpec, decision=None):
     """One scheme on one realization; reported rates all go through the
-    reference single-point formulas for comparability."""
+    reference single-point formulas for comparability.
+
+    ``decision`` is the (xy, p_hat) a swarm scheme's search found (see
+    :func:`_swarm_decisions`); the other schemes decide here.
+    """
     xy, p_hat = rlz.default_xy, None      # None: equal power allocation
-    if scheme == "psopa_fl":
-        p_hat = pso.solve_pa_fixed_loc(rlz, xy, spec.pso, p_t_mw, sigma2_mw,
-                                       seed_seq).p_hat
-    elif scheme == "psol_eqpa":
-        xy = pso.solve_loc_equal_pa(rlz, spec.pso, p_t_mw, sigma2_mw,
-                                    seed_seq).xy
-    elif scheme == "psolpa":
-        sol = pso.solve_joint(rlz, spec.pso, p_t_mw, sigma2_mw, seed_seq)
-        xy, p_hat = sol.xy, sol.p_hat
+    if scheme in _SWARM_SCHEMES:
+        xy, p_hat = decision
     elif scheme == "exhaustive":
         xy = pso.exhaustive_grid(rlz, spec.grid_dx, spec.grid_dy, p_t_mw,
                                  sigma2_mw).best_xy
@@ -116,6 +113,23 @@ def _apply_scheme(rlz: Realization, scheme: str, p_t_mw: float,
     elif scheme != "fl_eqpa":
         raise ValueError(f"unknown scheme {scheme!r}")
     return xy, rlz.rate_at(xy, p_t_mw, sigma2_mw, p_hat)
+
+
+def _swarm_decisions(rlz: Realization, scheme: str, p_t_mw: list[float],
+                     sigma2_mw: float, spec: ExperimentSpec, index: int
+                     ) -> list[tuple]:
+    """(xy, p_hat) of a swarm scheme at every power of the sweep, from one
+    stacked solve with one swarm (and one seed) per power."""
+    seeds = [_solver_seed(spec, index, scheme, pt_index)
+             for pt_index in range(len(p_t_mw))]
+    if scheme == "psopa_fl":
+        sols = pso.solve_pa_fixed_loc(rlz, rlz.default_xy, spec.pso, p_t_mw,
+                                      sigma2_mw, seeds)
+    elif scheme == "psol_eqpa":
+        sols = pso.solve_loc_equal_pa(rlz, spec.pso, p_t_mw, sigma2_mw, seeds)
+    else:
+        sols = pso.solve_joint(rlz, spec.pso, p_t_mw, sigma2_mw, seeds)
+    return [(sol.xy, sol.p_hat) for sol in sols]
 
 
 def _load_model_cached(path: str) -> learn.MlpModel:
@@ -139,13 +153,17 @@ def _realization_rows(spec: ExperimentSpec, index: int,
                       rf: RfDesign | None) -> list[dict]:
     rlz = realization(spec, index, rf)
     sigma2_mw = dbm_to_mw(noise_power(spec.scenario))
+    p_t_mw = [dbm_to_mw(p_t) for p_t in spec.p_t_dbm]
+    decisions = {scheme: _swarm_decisions(rlz, scheme, p_t_mw, sigma2_mw,
+                                          spec, index)
+                 for scheme in spec.schemes if scheme in _SWARM_SCHEMES}
     rows = []
     for pt_index, p_t in enumerate(spec.p_t_dbm):
-        p_t_mw = dbm_to_mw(p_t)
         for scheme in spec.schemes:
-            xy, report = _apply_scheme(
-                rlz, scheme, p_t_mw, sigma2_mw, spec,
-                _solver_seed(spec, index, scheme, pt_index))
+            decision = (decisions[scheme][pt_index] if scheme in decisions
+                        else None)
+            xy, report = _apply_scheme(rlz, scheme, p_t_mw[pt_index],
+                                       sigma2_mw, spec, decision)
             rows.append({
                 "realization": index, "scheme": scheme, "p_t_dbm": p_t,
                 "r1": report.r1, "r2": report.r2, "r_total": report.r_total,

@@ -350,8 +350,9 @@ def _dataset_row(scenario: Scenario, master_seed: int, p_t_mw: float,
 def generate_dataset(scenario: Scenario, count: int, master_seed: int,
                      out_path: str, pso_cfg: pso.PsoConfig | None = None,
                      p_t_dbm: float = 20.0, workers: int = 1,
-                     angle_model: str = "fixed") -> str:
-    """Label ``count`` realizations with the joint solver, JSON-lines output.
+                     angle_model: str = "fixed") -> int:
+    """Label ``count`` realizations with the joint solver, JSON-lines output;
+    returns the number of rows the file holds afterwards.
 
     Row i depends only on (master_seed, i), so generation parallelizes over
     rows and resumes mid-file: existing rows are kept and only the missing
@@ -390,7 +391,7 @@ def generate_dataset(scenario: Scenario, count: int, master_seed: int,
                 fh.write(json.dumps(row) + "\n")
                 fh.flush()
     _write_meta(meta_path, max(existing, count), config)
-    return out_path
+    return max(existing, count)
 
 
 def _write_meta(meta_path: str, count: int, config: dict) -> None:
@@ -399,21 +400,36 @@ def _write_meta(meta_path: str, count: int, config: dict) -> None:
 
 
 def _count_rows(path: str) -> int:
-    """Rows already in a dataset; a torn last row is refused by line number."""
+    """Rows already in a dataset; a torn row is refused by line number, and
+    indices other than 0..n-1 once each by the first missing or repeated
+    one, before any new row is computed."""
     with open(path) as fh:
         lines = [(number, line) for number, line in enumerate(fh, 1)
                  if line.strip()]
-    if lines:
-        number, line = lines[-1]
+    rows = []
+    for number, line in lines:
         try:
-            json.loads(line)
-            torn = not line.endswith("\n")
+            rows.append(json.loads(line))
+            complete = line.endswith("\n")
         except ValueError:
-            torn = True
-        if torn:
+            complete = False
+        if not complete:
             raise ValueError(f"{path} line {number} is not a complete row; "
                              "remove that line to resume")
-    return len(lines)
+    _check_indices(path, rows)
+    return len(rows)
+
+
+def _check_indices(path: str, rows: list[dict]) -> None:
+    """Rows must carry the indices 0..n-1 once each; names the first
+    missing or repeated one."""
+    for i, index in enumerate(sorted(row["index"] for row in rows)):
+        if index != i:
+            # sorted, so a larger index skips i and a smaller one repeats
+            what = "is missing" if index > i else "appears twice"
+            raise ValueError(
+                f"{path}: row index {min(i, index)} {what}; rows "
+                f"must carry the indices 0..{len(rows) - 1} once each")
 
 
 def _check_resume(out_path: str, meta_path: str, existing: int,
@@ -447,14 +463,8 @@ def load_dataset(path: str) -> tuple[np.ndarray, np.ndarray, list[dict]]:
                 rows.append(json.loads(line))
     if not rows:
         raise ValueError(f"no rows in {path}")
+    _check_indices(path, rows)
     rows.sort(key=lambda r: r["index"])
-    for i, row in enumerate(rows):
-        if row["index"] != i:
-            # sorted, so a larger index skips i and a smaller one repeats
-            what = "is missing" if row["index"] > i else "appears twice"
-            raise ValueError(
-                f"{path}: row index {min(i, row['index'])} {what}; rows "
-                f"must carry the indices 0..{len(rows) - 1} once each")
     width = len(rows[0]["features"])
     if any(len(r["features"]) != width for r in rows):
         raise ShapeMismatch("inconsistent feature width across rows")

@@ -165,21 +165,27 @@ class Realization:
 
     # -- evaluation ----------------------------------------------------------
 
-    def evaluate_batch(self, xys, p_t_mw: float, sigma2_mw: float,
+    def evaluate_batch(self, xys, p_t_mw, sigma2_mw: float,
                        p_hat=None) -> BatchEval:
         """Rates at a batch of candidate positions.
 
-        ``p_hat`` gives relative per-user powers, shape (K,) shared or
-        (n, K) per candidate; None means equal. Absolute powers are scaled
-        to meet the transmit budget with equality at each position.
+        ``p_t_mw`` is the transmit budget, one shared or shape (n,) one per
+        candidate. ``p_hat`` gives relative per-user powers, shape (K,)
+        shared or (n, K) per candidate; None means equal. Absolute powers
+        are scaled to meet each candidate's budget with equality at its
+        position. Each row's result depends on that row's inputs alone.
         """
         xys = np.atleast_2d(np.asarray(xys, dtype=float))
         n = xys.shape[0]
         k = self.num_users
+        p_t = np.asarray(p_t_mw, dtype=float)
+        if p_t.ndim > 1 or (p_t.ndim == 1 and p_t.shape != (n,)):
+            raise ValueError("transmit budget must be one value or (n,)")
+        p_t = p_t if p_t.ndim else float(p_t)   # a float keeps scalar ops fast
         _, _, amp1, amp2 = self._pathloss(xys)
 
         # first hop: scaled identity-plus-covariance log-dets
-        scale = amp1 ** 2 * (p_t_mw / k)
+        scale = amp1 ** 2 * (p_t / k)
         q = sigma2_mw * self._q1_unit
         sign_q, logdet_q = np.linalg.slogdet(q)
         arg = q[None, :, :] + scale[:, None, None] * self._s0[None, :, :]
@@ -194,8 +200,8 @@ class Realization:
         # column gains diag(B^H B) = diag(A^-1 G A^-1), all K x K
         gram = amp2[:, :, None] * self._gram2[None, :, :] * amp2[:, None, :]
         n_rf = self._eff2_raw.shape[1]
-        ridge = sigma2_mw / p_t_mw
-        a_inv = np.linalg.inv(gram + (ridge * n_rf) * np.eye(k)[None, :, :])
+        ridge = sigma2_mw / p_t * n_rf
+        a_inv = np.linalg.inv(gram + np.multiply.outer(ridge, np.eye(k)))
         c = gram @ a_inv                                         # n x K x K
         col_gain = np.einsum("nkj,njk->nk", a_inv, c).real       # n x K
 
@@ -208,7 +214,7 @@ class Realization:
         if np.any(weighted <= 0.0):
             raise rates.AllZeroAlloc(
                 "allocation carries no power on any active column")
-        alloc = (p_t_mw / weighted)[:, None] * p_hat_arr         # kappa^2 p_hat
+        alloc = (p_t / weighted)[:, None] * p_hat_arr        # kappa^2 p_hat
 
         sinr = rates.sinr_from_couplings(c, alloc, sigma2_mw)
         r2 = np.sum(np.log2(1.0 + sinr), axis=1)

@@ -4,9 +4,12 @@ All solvers share one vectorized engine working on normalized coordinates
 in [0, 1]^D. Location coordinates map affinely onto the deployment box;
 power coordinates are square roots of relative powers, so squaring keeps
 them nonnegative and the budget scaling in the evaluator handles the total.
-The objective is maximized. With a fixed seed every solver is
-bit-reproducible: particles are updated in one stacked draw per iteration,
-so no execution order can reshuffle the stream.
+The objective is maximized. A solver given a list of seeds steps one swarm
+per list element in lockstep, with one batch evaluation per iteration over
+every swarm's particles; each swarm draws from its own stream, so with a
+fixed seed every swarm is bit-reproducible and equals the same swarm run
+alone. A list is therefore never read as one seed's entropy: wrap such
+entropy as ``np.random.SeedSequence([...])``.
 """
 
 from __future__ import annotations
@@ -66,25 +69,31 @@ def config_from_dict(section: dict) -> PsoConfig:
 
 
 @dataclass
-class Swarm:
-    positions: np.ndarray
-    velocities: np.ndarray
-    pbest_pos: np.ndarray
-    pbest_val: np.ndarray
-    gbest_pos: np.ndarray
-    gbest_val: float
-    iteration: int = 0
-
-
-@dataclass
 class SolveResult:
-    """Best candidate found by a solver plus its search trace."""
+    """Best candidate found by one swarm plus its search record.
+
+    ``infeasible`` counts the swarm's candidates scored -inf (an all-zero
+    power row); ``last_improvement`` is the iteration of its last gbest
+    gain, read off ``trace`` (0 when the initial best was never beaten).
+    """
 
     xy: np.ndarray | None
     p_hat: np.ndarray | None
     value: float
     trace: np.ndarray
     objective: str = "r_total"
+    infeasible: int = 0
+    last_improvement: int = 0
+
+
+@dataclass
+class SwarmRun:
+    """Outcome of swarms stepped in lockstep (arrays over the swarms)."""
+
+    best_pos: np.ndarray            # (S, dim) gbest positions
+    best_val: np.ndarray            # (S,)
+    trace: np.ndarray               # (S, iterations + 1) gbest per step
+    infeasible: np.ndarray          # (S,) candidates scored -inf
 
 
 def clip(x: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
@@ -95,59 +104,67 @@ def clip(x: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
     return np.clip(x, lo, hi)
 
 
-def init_swarm(objective, dim: int, cfg: PsoConfig, rng: np.random.Generator,
-               warm_starts: list[np.ndarray] | None = None) -> Swarm:
-    """Uniform random swarm; warm starts overwrite the first particles."""
-    positions = rng.uniform(0.0, 1.0, size=(cfg.particles, dim))
-    if warm_starts:
-        for i, pos in enumerate(warm_starts[:cfg.particles]):
-            positions[i] = np.asarray(pos, dtype=float)
-    velocities = np.zeros_like(positions)
-    values = np.asarray(objective(positions), dtype=float)
-    best = int(np.argmax(values))
-    return Swarm(positions=positions, velocities=velocities,
-                 pbest_pos=positions.copy(), pbest_val=values.copy(),
-                 gbest_pos=positions[best].copy(),
-                 gbest_val=float(values[best]))
+def run_swarms(objective, dim: int, cfg: PsoConfig, seeds: list,
+               warm_starts: list[np.ndarray] | None = None) -> SwarmRun:
+    """Step one swarm per seed in lockstep.
 
-
-def step(swarm: Swarm, objective, cfg: PsoConfig,
-         rng: np.random.Generator) -> Swarm:
-    """One velocity/position update of every particle, then re-evaluate."""
-    m, dim = swarm.positions.shape
-    y1 = rng.uniform(0.0, 1.0, size=(m, dim))
-    y2 = rng.uniform(0.0, 1.0, size=(m, dim))
-    swarm.iteration += 1
-    inertia = cfg.inertia_at(swarm.iteration)
-    vel = (cfg.gamma1 * y1 * (swarm.gbest_pos[None, :] - swarm.positions)
-           + cfg.gamma2 * y2 * (swarm.pbest_pos - swarm.positions)
-           + inertia * swarm.velocities)
-    vel = clip(vel, cfg.velocity_clip)
-    swarm.velocities = vel
-    swarm.positions = clip(swarm.positions + vel, (0.0, 1.0))
-    values = np.asarray(objective(swarm.positions), dtype=float)
-    improved = values > swarm.pbest_val
-    swarm.pbest_val = np.where(improved, values, swarm.pbest_val)
-    swarm.pbest_pos = np.where(improved[:, None], swarm.positions,
-                               swarm.pbest_pos)
-    best = int(np.argmax(swarm.pbest_val))
-    if swarm.pbest_val[best] > swarm.gbest_val:
-        swarm.gbest_val = float(swarm.pbest_val[best])
-        swarm.gbest_pos = swarm.pbest_pos[best].copy()
-    return swarm
+    ``objective`` maps (S, m, dim) unit coordinates to (S, m) values, so
+    each iteration makes one call over all S*m candidates. Each swarm draws
+    from its own ``default_rng(seed)`` in the order a lone swarm would (its
+    positions, then y1 and y2 once per step), and every update is
+    elementwise, so each swarm's trajectory is bit-identical to running it
+    alone. Warm starts overwrite the first particles of every swarm.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    s, m = len(rngs), cfg.particles
+    pos = np.stack([rng.uniform(0.0, 1.0, size=(m, dim)) for rng in rngs])
+    for i, warm in enumerate((warm_starts or [])[:m]):
+        pos[:, i] = np.asarray(warm, dtype=float)
+    vel = np.zeros_like(pos)
+    values = np.asarray(objective(pos), dtype=float)
+    dead = np.isneginf(values).astype(int)      # -inf scores per particle
+    swarms = np.arange(s)
+    best = np.argmax(values, axis=1)
+    pbest_pos, pbest_val = pos.copy(), values.copy()
+    gbest_pos, gbest_val = pos[swarms, best], values[swarms, best]
+    trace = [gbest_val]
+    y = np.empty((s, 2, m, dim))
+    for iteration in range(1, cfg.iterations + 1):
+        # each swarm's (2, m, dim) block is its y1 then its y2; random()
+        # draws the same doubles as uniform(0, 1) did
+        for rng, out in zip(rngs, y):
+            rng.random(out=out)
+        inertia = cfg.inertia_at(iteration)
+        vel = (cfg.gamma1 * y[:, 0] * (gbest_pos[:, None, :] - pos)
+               + cfg.gamma2 * y[:, 1] * (pbest_pos - pos)
+               + inertia * vel)
+        vel = clip(vel, cfg.velocity_clip)
+        pos = clip(pos + vel, (0.0, 1.0))
+        values = np.asarray(objective(pos), dtype=float)
+        dead += np.isneginf(values)
+        improved = values > pbest_val
+        pbest_val = np.where(improved, values, pbest_val)
+        pbest_pos = np.where(improved[..., None], pos, pbest_pos)
+        best_val = pbest_val.max(axis=1)
+        gain = best_val > gbest_val
+        if gain.any():      # most late iterations improve on no gbest
+            best = np.argmax(pbest_val, axis=1)
+            gbest_val = np.where(gain, best_val, gbest_val)
+            gbest_pos = np.where(gain[:, None], pbest_pos[swarms, best],
+                                 gbest_pos)
+        trace.append(gbest_val)
+    return SwarmRun(best_pos=gbest_pos, best_val=gbest_val,
+                    trace=np.stack(trace, axis=1), infeasible=dead.sum(axis=1))
 
 
 def run_pso(objective, dim: int, cfg: PsoConfig, seed,
             warm_starts: list[np.ndarray] | None = None
             ) -> tuple[np.ndarray, float, np.ndarray]:
-    """Full swarm run; returns (best position, best value, gbest trace)."""
-    rng = np.random.default_rng(seed)
-    swarm = init_swarm(objective, dim, cfg, rng, warm_starts)
-    trace = [swarm.gbest_val]
-    for _ in range(cfg.iterations):
-        step(swarm, objective, cfg, rng)
-        trace.append(swarm.gbest_val)
-    return swarm.gbest_pos, swarm.gbest_val, np.array(trace)
+    """One swarm over an (m, dim) -> (m,) objective; returns (best
+    position, best value, gbest trace)."""
+    run = run_swarms(lambda coords: np.asarray(objective(coords[0]))[None],
+                     dim, cfg, [seed], warm_starts)
+    return run.best_pos[0], float(run.best_val[0]), run.trace[0]
 
 
 def _objective_field(batch, name: str) -> np.ndarray:
@@ -160,81 +177,135 @@ def _objective_field(batch, name: str) -> np.ndarray:
     raise ValueError(f"unknown objective {name!r}")
 
 
-def _eval_candidates(rlz: Realization, xys: np.ndarray, p_hat: np.ndarray,
-                     p_t_mw: float, sigma2_mw: float, objective: str
-                     ) -> np.ndarray:
-    """Objective values; clipping can zero out a whole power row, which is
-    an infeasible allocation and scores -inf rather than raising."""
-    alive = p_hat.sum(axis=1) > 0.0
-    values = np.full(xys.shape[0], -np.inf)
-    if np.any(alive):
-        batch = rlz.evaluate_batch(xys[alive], p_t_mw, sigma2_mw, p_hat[alive])
-        values[alive] = _objective_field(batch, objective)
+def _eval_candidates(rlz: Realization, xys: np.ndarray, p_hat, p_t_mw,
+                     sigma2_mw: float, objective) -> np.ndarray:
+    """Objective values of a batch of candidates.
+
+    ``p_hat`` None means equal powers. ``p_t_mw`` is one budget or one per
+    candidate. ``objective`` is one name, or a list of S names that score S
+    equal consecutive blocks of candidates (one block per swarm). Clipping
+    can zero out a whole power row, which is an infeasible allocation and
+    scores -inf rather than raising.
+    """
+    n = xys.shape[0]
+    dead = (np.zeros(n, dtype=bool) if p_hat is None
+            else ~(p_hat.sum(axis=1) > 0.0))
+    if dead.any():
+        # rows are independent, so a dead row is scored on equal powers
+        # and then overwritten
+        p_hat = np.where(dead[:, None], 1.0, p_hat)
+    batch = rlz.evaluate_batch(xys, p_t_mw, sigma2_mw, p_hat)
+    names = np.atleast_1d(objective).tolist()
+    rows = n // len(names)
+    values = np.concatenate([
+        _objective_field(batch, name)[i * rows:(i + 1) * rows]
+        for i, name in enumerate(names)])
+    values[dead] = -np.inf
     return values
 
 
+def _per_swarm(value, s: int, what: str) -> list:
+    values = list(value) if np.ndim(value) else [value] * s
+    if len(values) != s:
+        raise ValueError(f"{what} gives {len(values)} values for {s} swarms")
+    return values
+
+
+def _solve(rlz: Realization, cfg: PsoConfig, p_t_mw, sigma2_mw: float, seed,
+           objective, dim: int, warm: np.ndarray, decode
+           ) -> SolveResult | list:
+    """Run one swarm per seed in lockstep and decode each best position.
+
+    ``decode`` maps unit coordinates (..., dim) to candidate positions
+    (..., 2) and relative powers (..., K), or None for equal powers. A list
+    runs one swarm per element and returns a list of results; ``p_t_mw``
+    and ``objective`` are then one value for every swarm or one per swarm.
+    Any other seed (an int, a ``SeedSequence``, a tuple of entropy) runs
+    one swarm and returns one result.
+    """
+    seeds = seed if isinstance(seed, list) else [seed]
+    s, m = len(seeds), cfg.particles
+    objectives = _per_swarm(objective, s, "objective")
+    p_t_rows = np.repeat(np.asarray(_per_swarm(p_t_mw, s, "p_t_mw"),
+                                    dtype=float), m)
+
+    def evaluate(coords: np.ndarray) -> np.ndarray:
+        xys, p_hat = decode(coords.reshape(s * m, dim))
+        return _eval_candidates(rlz, xys, p_hat, p_t_rows, sigma2_mw,
+                                objectives).reshape(s, m)
+
+    run = run_swarms(evaluate, dim, cfg, seeds, [warm])
+    results = []
+    for i in range(s):
+        xy, p_hat = decode(run.best_pos[i])
+        results.append(SolveResult(
+            xy=np.array(xy), p_hat=p_hat, value=float(run.best_val[i]),
+            trace=run.trace[i], objective=objectives[i],
+            infeasible=int(run.infeasible[i]),
+            # gbest never falls, so it first reaches its final value at
+            # the last gain
+            last_improvement=int(np.argmax(run.trace[i] == run.trace[i][-1]))))
+    return results if isinstance(seed, list) else results[0]
+
+
 def solve_pa_fixed_loc(rlz: Realization, uav_xy, cfg: PsoConfig,
-                       p_t_mw: float, sigma2_mw: float, seed,
-                       objective: str = "r_total") -> SolveResult:
+                       p_t_mw, sigma2_mw: float, seed,
+                       objective="r_total") -> SolveResult | list:
     """Optimize relative per-user powers at a fixed UAV position.
 
     The first particle starts at the equal allocation, so the solution is
-    never worse than equal power on the same realization.
+    never worse than equal power on the same realization. A list ``seed``
+    steps one swarm per element in lockstep and returns a list, so a list
+    of entropy for one swarm must be wrapped as ``SeedSequence([...])``
+    (see :func:`_solve`).
     """
-    k = rlz.num_users
     xy = np.asarray(uav_xy, dtype=float)
 
-    def evaluate(coords: np.ndarray) -> np.ndarray:
-        p_hat = coords ** 2
-        xys = np.broadcast_to(xy, (coords.shape[0], 2))
-        return _eval_candidates(rlz, xys, p_hat, p_t_mw, sigma2_mw, objective)
+    def decode(coords):
+        return np.broadcast_to(xy, coords.shape[:-1] + (2,)), coords ** 2
 
-    warm = [np.ones(k)]
-    pos, val, trace = run_pso(evaluate, k, cfg, seed, warm)
-    return SolveResult(xy=xy.copy(), p_hat=pos ** 2, value=val, trace=trace,
-                       objective=objective)
+    return _solve(rlz, cfg, p_t_mw, sigma2_mw, seed, objective,
+                  rlz.num_users, np.ones(rlz.num_users), decode)
 
 
-def solve_loc_equal_pa(rlz: Realization, cfg: PsoConfig, p_t_mw: float,
-                       sigma2_mw: float, seed,
-                       objective: str = "r_total") -> SolveResult:
+def solve_loc_equal_pa(rlz: Realization, cfg: PsoConfig, p_t_mw,
+                       sigma2_mw: float, seed, objective="r_total"
+                       ) -> SolveResult | list:
     """Optimize the UAV position under an equal power allocation.
 
     The first particle starts at the default deployment, so the solution is
-    never worse than not moving the UAV at all.
+    never worse than not moving the UAV at all. A list ``seed`` steps one
+    swarm per element in lockstep and returns a list, so a list of entropy
+    for one swarm must be wrapped as ``SeedSequence([...])`` (see
+    :func:`_solve`).
     """
     box = rlz.scenario.box
 
-    def evaluate(coords: np.ndarray) -> np.ndarray:
-        xys = box.from_unit(coords)
-        return _objective_field(
-            rlz.evaluate_batch(xys, p_t_mw, sigma2_mw, None), objective)
+    def decode(coords):
+        return box.from_unit(coords), None
 
-    warm = [box.to_unit(rlz.default_xy)]
-    pos, val, trace = run_pso(evaluate, 2, cfg, seed, warm)
-    return SolveResult(xy=box.from_unit(pos), p_hat=None,
-                       value=val, trace=trace, objective=objective)
+    return _solve(rlz, cfg, p_t_mw, sigma2_mw, seed, objective, 2,
+                  box.to_unit(rlz.default_xy), decode)
 
 
-def solve_joint(rlz: Realization, cfg: PsoConfig, p_t_mw: float,
-                sigma2_mw: float, seed,
-                objective: str = "r_total") -> SolveResult:
+def solve_joint(rlz: Realization, cfg: PsoConfig, p_t_mw, sigma2_mw: float,
+                seed, objective="r_total") -> SolveResult | list:
     """Jointly optimize UAV position and relative powers (dim K + 2).
 
-    The first particle starts at the default position with equal powers.
+    The first particle starts at the default position with equal powers. A
+    list ``seed`` steps one swarm per element in lockstep and returns a
+    list, so a list of entropy for one swarm must be wrapped as
+    ``SeedSequence([...])`` (see :func:`_solve`).
     """
     k = rlz.num_users
     box = rlz.scenario.box
 
-    def evaluate(coords: np.ndarray) -> np.ndarray:
-        xys = box.from_unit(coords[:, :2])
-        p_hat = coords[:, 2:] ** 2
-        return _eval_candidates(rlz, xys, p_hat, p_t_mw, sigma2_mw, objective)
+    def decode(coords):
+        return box.from_unit(coords[..., :2]), coords[..., 2:] ** 2
 
-    warm = [np.concatenate([box.to_unit(rlz.default_xy), np.ones(k)])]
-    pos, val, trace = run_pso(evaluate, k + 2, cfg, seed, warm)
-    return SolveResult(xy=box.from_unit(pos[:2]), p_hat=pos[2:] ** 2,
-                       value=val, trace=trace, objective=objective)
+    warm = np.concatenate([box.to_unit(rlz.default_xy), np.ones(k)])
+    return _solve(rlz, cfg, p_t_mw, sigma2_mw, seed, objective, k + 2, warm,
+                  decode)
 
 
 @dataclass

@@ -68,18 +68,19 @@ def optimize_policy(rlz: Realization, cfg: pso.PsoConfig, p_t_mw: float,
     seq = np.random.SeedSequence(seed) if not isinstance(
         seed, np.random.SeedSequence) else seed
     seeds = seq.spawn(3)
-    base = pso.solve_loc_equal_pa(rlz, cfg, p_t_mw, sigma2_mw, seeds[0])
     if mode == "without_buffer":
+        base = pso.solve_loc_equal_pa(rlz, cfg, p_t_mw, sigma2_mw, seeds[0])
         return BufferPolicy(loc_rx=base.xy, loc_tx=base.xy, mode=mode)
 
-    rx = pso.solve_loc_equal_pa(rlz, cfg, p_t_mw, sigma2_mw, seeds[1],
-                                objective="r1")
+    # the independent location searches step in lockstep, one swarm each
     if optimize_pa:
+        base, rx = pso.solve_loc_equal_pa(rlz, cfg, p_t_mw, sigma2_mw,
+                                          seeds[:2], ["r_total", "r1"])
         tx = pso.solve_joint(rlz, cfg, p_t_mw, sigma2_mw, seeds[2],
                              objective="r2")
     else:
-        tx = pso.solve_loc_equal_pa(rlz, cfg, p_t_mw, sigma2_mw, seeds[2],
-                                    objective="r2")
+        base, rx, tx = pso.solve_loc_equal_pa(rlz, cfg, p_t_mw, sigma2_mw,
+                                              seeds, ["r_total", "r1", "r2"])
 
     # keep the bufferless optimum as a fallback candidate on each hop
     base_report = rlz.rate_at(base.xy, p_t_mw, sigma2_mw)

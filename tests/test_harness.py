@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from uavlink import cli, harness, learn, links, relay
+from uavlink import cli, harness, learn, links, pso, relay
 from uavlink.beamforming import OverlappingSupports
 from uavlink.geometry import dbm_to_mw, noise_power
 from uavlink.harness import (ExperimentSpec, config_hash, run, spec_from_dict,
@@ -55,6 +55,45 @@ def test_power_sweep_is_monotone_for_equal_pa():
     results, _ = run(spec)
     means = [row.mean_r_total for row in results]
     assert means[0] < means[1] < means[2]
+
+
+_SWARM_SOLVERS = {"psopa_fl": "solve_pa_fixed_loc",
+                  "psol_eqpa": "solve_loc_equal_pa", "psolpa": "solve_joint"}
+
+
+def test_run_solves_each_swarm_scheme_once_per_realization(monkeypatch):
+    spec = _small_spec(schemes=["fl_eqpa", *_SWARM_SOLVERS],
+                       p_t_dbm=[0.0, 20.0, 40.0], realizations=2)
+    calls = []
+    for name in _SWARM_SOLVERS.values():
+        def counted(*args, _solve=getattr(pso, name), _name=name, **kwargs):
+            calls.append((_name, len(args[-1])))
+            return _solve(*args, **kwargs)
+        monkeypatch.setattr(pso, name, counted)
+    _, records = run(spec)
+    monkeypatch.undo()
+    # one stacked call per (realization, scheme), one swarm per power
+    assert sorted(calls) == sorted(
+        (name, 3) for name in _SWARM_SOLVERS.values() for _ in range(2))
+    # each record is what a lone swarm on its own seed finds
+    sigma2 = dbm_to_mw(noise_power(spec.scenario))
+    for rec in records:
+        if rec["scheme"] == "fl_eqpa":
+            continue
+        rlz = harness.realization(spec, rec["realization"])
+        p_t_mw = dbm_to_mw(rec["p_t_dbm"])
+        seed = harness._solver_seed(spec, rec["realization"], rec["scheme"],
+                                    spec.p_t_dbm.index(rec["p_t_dbm"]))
+        if rec["scheme"] == "psopa_fl":
+            sol = pso.solve_pa_fixed_loc(rlz, rlz.default_xy, spec.pso,
+                                         p_t_mw, sigma2, seed)
+        else:
+            sol = getattr(pso, _SWARM_SOLVERS[rec["scheme"]])(
+                rlz, spec.pso, p_t_mw, sigma2, seed)
+        report = rlz.rate_at(sol.xy, p_t_mw, sigma2, sol.p_hat)
+        assert (rec["uav_x"], rec["uav_y"]) == tuple(sol.xy)
+        assert (rec["r1"], rec["r2"], rec["r_total"]) == \
+            (report.r1, report.r2, report.r_total)
 
 
 def test_scheme_validation():
@@ -285,6 +324,19 @@ def test_cli_dataset_train_predict_round_trip(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()[-1]
     payload = json.loads(out)
     assert {"uav_xy", "relative_powers", "r_total"} <= payload.keys()
+
+
+def test_cli_dataset_reports_the_rows_in_the_file(tmp_path, capsys):
+    cfg = _write_fast_config(tmp_path)
+    data = str(tmp_path / "rows.jsonl")
+    assert cli.main(["dataset", "--config", cfg, "--out", data,
+                     "--count", "4"]) == 0
+    assert capsys.readouterr().out.strip() == f"{data} holds 4 rows"
+    # a shorter count keeps the 4 rows already there
+    assert cli.main(["dataset", "--config", cfg, "--out", data,
+                     "--count", "2"]) == 0
+    assert capsys.readouterr().out.strip() == f"{data} holds 4 rows"
+    assert len(open(data).read().splitlines()) == 4
 
 
 def test_cli_delay_writes_csv(tmp_path, capsys):

@@ -291,6 +291,32 @@ def test_dataset_resume_refuses_a_torn_last_row(tmp_path, desk_scenario):
     assert open(path).read() == torn
 
 
+def test_dataset_resume_refuses_a_missing_index_before_computing(
+        tmp_path, desk_scenario, monkeypatch):
+    path = str(tmp_path / "rows.jsonl")
+    cfg = PsoConfig(particles=4, iterations=3)
+    generate_dataset(desk_scenario, 3, 1, path, pso_cfg=cfg)
+    lines = open(path).read().splitlines(keepends=True)
+    with open(path, "w") as fh:
+        fh.write(lines[0] + lines[2])           # indices 0 and 2
+    rows = open(path).read()
+    meta = open(path + ".meta.json").read()
+    computed = []
+    monkeypatch.setattr(learn, "_dataset_row",
+                        lambda *args: computed.append(args[-1]))
+    with pytest.raises(ValueError, match="row index 1 is missing"):
+        generate_dataset(desk_scenario, 4, 1, path, pso_cfg=cfg)
+    assert open(path).read() == rows
+    with open(path, "w") as fh:
+        fh.write(lines[0] + lines[1] + lines[1])    # indices 0, 1, 1
+    rows = open(path).read()
+    with pytest.raises(ValueError, match="row index 1 appears twice"):
+        generate_dataset(desk_scenario, 4, 1, path, pso_cfg=cfg)
+    assert open(path).read() == rows
+    assert computed == []
+    assert open(path + ".meta.json").read() == meta
+
+
 def _index_rows(path, indices):
     path.write_text("".join(
         json.dumps({"index": i, "features": [1.0, 2.0],

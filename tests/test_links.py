@@ -158,3 +158,34 @@ def test_geometric_angle_model_refuses_a_shared_design(desk_scenario):
     with pytest.raises(ValueError, match="geometric"):
         Realization(desk_scenario, np.random.default_rng(0),
                     angle_model="geometric", rf=rf)
+
+
+@pytest.mark.parametrize("scenario", [
+    Scenario(), paper_scale_spec().scenario], ids=["desk", "paper_scale"])
+@pytest.mark.parametrize("shared_p_hat", [False, True])
+def test_per_candidate_budget_equals_scalar_calls(scenario, shared_p_hat):
+    rlz = make_realization(scenario, 12345)
+    sigma2 = dbm_to_mw(noise_power(scenario))
+    rng = np.random.default_rng(1)
+    powers = np.array([dbm_to_mw(p) for p in (0.0, 20.0, 40.0)])
+    which = rng.integers(0, powers.size, size=13)
+    xys = rng.uniform(5.0, 95.0, size=(which.size, 2))
+    k = rlz.num_users
+    p_hat = (rng.uniform(0.05, 2.0, size=k) if shared_p_hat
+             else rng.uniform(0.05, 2.0, size=(which.size, k)))
+    batch = rlz.evaluate_batch(xys, powers[which], sigma2, p_hat)
+    for j, p_t in enumerate(powers):
+        rows = which == j
+        single = rlz.evaluate_batch(
+            xys[rows], float(p_t), sigma2,
+            p_hat if shared_p_hat else p_hat[rows])
+        for name in ("r1", "r2", "r_total", "sinr", "alloc_mw"):
+            assert np.array_equal(getattr(batch, name)[rows],
+                                  getattr(single, name)), name
+
+
+def test_per_candidate_budget_needs_one_per_row(desk_realization,
+                                                desk_sigma2):
+    xys = np.array([[40.0, 60.0], [50.0, 50.0]])
+    with pytest.raises(ValueError, match="one value or \\(n,\\)"):
+        desk_realization.evaluate_batch(xys, np.ones(3), desk_sigma2)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavlink import pso
-from uavlink.geometry import Box
+from uavlink.geometry import Box, dbm_to_mw
 from uavlink.pso import PsoConfig, clip, exhaustive_grid, run_pso
 
 
@@ -170,3 +170,156 @@ def test_config_validation():
         PsoConfig(velocity_clip=(0.2, 0.2))
     with pytest.raises(ValueError):
         Box(0.0, 0.0, 0.0, 100.0)
+
+
+# inertia -1 flips every velocity each step, so particles bounce between
+# the box faces and some land on an all-zero power row
+BOUNCING = PsoConfig(particles=4, iterations=30, velocity_clip=(-1.0, 1.0),
+                     inertia=-1.0)
+SMALL = PsoConfig(particles=6, iterations=12)
+POWERS_DBM = (0.0, 20.0, 40.0, 10.0)
+
+
+def _solver_calls(rlz):
+    return {
+        "pa": lambda cfg, p, s2, seed, obj: pso.solve_pa_fixed_loc(
+            rlz, rlz.default_xy, cfg, p, s2, seed, obj),
+        "loc": lambda cfg, p, s2, seed, obj: pso.solve_loc_equal_pa(
+            rlz, cfg, p, s2, seed, obj),
+        "joint": lambda cfg, p, s2, seed, obj: pso.solve_joint(
+            rlz, cfg, p, s2, seed, obj),
+    }
+
+
+def _same_result(a, b):
+    for name in ("xy", "p_hat", "trace"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None and y is None) or np.array_equal(x, y), name
+    assert a.value == b.value
+    assert (a.objective, a.infeasible, a.last_improvement) == \
+        (b.objective, b.infeasible, b.last_improvement)
+
+
+@pytest.mark.parametrize("cfg", [SMALL, BOUNCING], ids=["small", "bouncing"])
+@pytest.mark.parametrize("solver", ["pa", "loc", "joint"])
+def test_stacked_solve_equals_single_solves(desk_realization, desk_sigma2,
+                                            solver, cfg):
+    rlz = desk_realization
+    solve = _solver_calls(rlz)[solver]
+    p_t = [dbm_to_mw(p) for p in POWERS_DBM]
+    seeds = [np.random.SeedSequence([7, i]) for i in range(len(p_t))]
+    objectives = ["r_total", "r1", "r2", "r_total"]
+    stacked = solve(cfg, p_t, desk_sigma2, seeds, objectives)
+    assert isinstance(stacked, list) and len(stacked) == len(seeds)
+    for sol, p, seed, obj in zip(stacked, p_t, seeds, objectives):
+        _same_result(sol, solve(cfg, p, desk_sigma2, seed, obj))
+    if cfg is BOUNCING and solver != "loc":
+        assert any(sol.infeasible > 0 for sol in stacked)
+
+
+def test_stacked_solve_shares_one_power_and_objective(desk_realization,
+                                                      desk_sigma2, p20_mw):
+    seeds = [3, 4]
+    stacked = pso.solve_joint(desk_realization, SMALL, p20_mw, desk_sigma2,
+                              seeds, "r2")
+    for sol, seed in zip(stacked, seeds):
+        _same_result(sol, pso.solve_joint(desk_realization, SMALL, p20_mw,
+                                          desk_sigma2, seed, "r2"))
+
+
+def test_single_seed_returns_one_result(desk_realization, desk_sigma2,
+                                        p20_mw):
+    for solve in _solver_calls(desk_realization).values():
+        sol = solve(SMALL, p20_mw, desk_sigma2, 5, "r_total")
+        assert isinstance(sol, pso.SolveResult)
+        # a list of one seed is a stack of one
+        one = solve(SMALL, p20_mw, desk_sigma2, [5], "r_total")
+        assert isinstance(one, list) and len(one) == 1
+        _same_result(one[0], sol)
+
+
+def test_stacked_solve_rejects_mismatched_lists(desk_realization,
+                                                desk_sigma2, p20_mw):
+    with pytest.raises(ValueError, match="p_t_mw gives 3 values for 2"):
+        pso.solve_joint(desk_realization, SMALL, [p20_mw] * 3, desk_sigma2,
+                        [1, 2])
+    with pytest.raises(ValueError, match="objective gives 1 values for 2"):
+        pso.solve_loc_equal_pa(desk_realization, SMALL, p20_mw, desk_sigma2,
+                               [1, 2], ["r1"])
+
+
+def test_run_swarms_records_infeasible():
+    cfg = PsoConfig(particles=5, iterations=15)
+
+    def objective(coords):
+        # rows whose first coordinate sits left of 0.3 are infeasible
+        values = _sphere(coords.reshape(-1, coords.shape[-1]))
+        values[coords.reshape(-1, coords.shape[-1])[:, 0] < 0.3] = -np.inf
+        return values.reshape(coords.shape[:2])
+
+    seen = []
+
+    def recording(coords):
+        seen.append(objective(coords))
+        return seen[-1]
+
+    run = pso.run_swarms(recording, 3, cfg, [1, 2, 3])
+    all_values = np.stack(seen)                  # (iterations + 1, S, m)
+    assert np.array_equal(run.infeasible,
+                          np.isneginf(all_values).sum(axis=(0, 2)))
+    assert np.any(run.infeasible > 0)
+    for s in range(3):
+        # each swarm alone walks the same path
+        pos, val, trace = run_pso(lambda c: objective(c[None])[0], 3, cfg,
+                                  seed=s + 1)
+        assert np.array_equal(pos, run.best_pos[s]) and val == run.best_val[s]
+        assert np.array_equal(trace, run.trace[s])
+
+
+@pytest.mark.parametrize("solver", ["pa", "loc", "joint"])
+def test_last_improvement_is_the_last_gbest_gain(desk_realization,
+                                                 desk_sigma2, solver):
+    p_t = [dbm_to_mw(p) for p in POWERS_DBM]
+    sols = _solver_calls(desk_realization)[solver](
+        BOUNCING, p_t, desk_sigma2, [1, 2, 3, 4], "r_total")
+    for sol in sols:
+        gains = np.flatnonzero(np.diff(sol.trace) > 0.0)
+        assert sol.last_improvement == (gains[-1] + 1 if gains.size else 0)
+    flat = pso.solve_loc_equal_pa(desk_realization, PsoConfig(iterations=0),
+                                  p_t[0], desk_sigma2, 1)
+    assert flat.last_improvement == 0
+
+
+def test_list_seed_means_one_swarm_per_element(desk_realization,
+                                               desk_sigma2, p20_mw):
+    # a list is never one seed's entropy: [7, 0] is the swarms 7 and 0
+    pair = pso.solve_loc_equal_pa(desk_realization, SMALL, p20_mw,
+                                  desk_sigma2, [7, 0])
+    for sol, seed in zip(pair, [7, 0]):
+        _same_result(sol, pso.solve_loc_equal_pa(desk_realization, SMALL,
+                                                 p20_mw, desk_sigma2, seed))
+    # wrapped, the same entropy seeds one swarm
+    one = pso.solve_loc_equal_pa(desk_realization, SMALL, p20_mw,
+                                 desk_sigma2, np.random.SeedSequence([7, 0]))
+    assert isinstance(one, pso.SolveResult)
+    _, _, trace = run_pso(
+        lambda c: pso._eval_candidates(
+            desk_realization, desk_realization.scenario.box.from_unit(c),
+            None, p20_mw, desk_sigma2, "r_total"),
+        2, SMALL, [7, 0],
+        [desk_realization.scenario.box.to_unit(desk_realization.default_xy)])
+    assert np.array_equal(one.trace, trace)
+
+
+def test_eval_candidates_scores_objective_blocks(desk_realization,
+                                                 desk_sigma2, p20_mw):
+    rlz = desk_realization
+    xys = np.array([[50.0, 50.0], [20.0, 70.0], [50.0, 50.0], [20.0, 70.0]])
+    p_hat = np.array([[1.0, 2.0, 0.5, 1.0], [0.0, 0.0, 0.0, 0.0],
+                      [1.0, 2.0, 0.5, 1.0], [1.0, 1.0, 1.0, 1.0]])
+    vals = pso._eval_candidates(rlz, xys, p_hat, p20_mw, desk_sigma2,
+                                ["r1", "r2"])
+    batch = rlz.evaluate_batch(xys[[0, 2, 3]], p20_mw, desk_sigma2,
+                               p_hat[[0, 2, 3]])
+    assert vals[0] == batch.r1[0] and vals[1] == -np.inf
+    assert vals[2] == batch.r2[1] and vals[3] == batch.r2[2]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from uavlink import pso
 from uavlink.links import make_realization
 from uavlink.pso import PsoConfig
 from uavlink.relay import (BufferPolicy, ZeroRate, buffered_rate,
@@ -78,3 +79,25 @@ def test_little_delay_rejects_degenerate_inputs():
         little_delay(0.0, 10.0, 5.0)
     with pytest.raises(ValueError):
         little_delay(1.0, 1.0, -1.0)
+
+
+def test_buffered_policy_stacks_its_three_searches(desk_realization, p20_mw,
+                                                   desk_sigma2, monkeypatch):
+    rlz = desk_realization
+    stacked = optimize_policy(rlz, CFG, p20_mw, desk_sigma2, seed=5)
+    solve = pso.solve_loc_equal_pa
+    stacks = []
+
+    def one_at_a_time(rlz, cfg, p_t_mw, sigma2_mw, seed, objective="r_total"):
+        if not isinstance(seed, list):
+            return solve(rlz, cfg, p_t_mw, sigma2_mw, seed, objective)
+        stacks.append(list(objective))
+        return [solve(rlz, cfg, p_t_mw, sigma2_mw, s, o)
+                for s, o in zip(seed, objective)]
+
+    monkeypatch.setattr(pso, "solve_loc_equal_pa", one_at_a_time)
+    lone = optimize_policy(rlz, CFG, p20_mw, desk_sigma2, seed=5)
+    assert stacks == [["r_total", "r1", "r2"]]
+    assert np.array_equal(stacked.loc_rx, lone.loc_rx)
+    assert np.array_equal(stacked.loc_tx, lone.loc_tx)
+    assert stacked.p_hat is None and lone.p_hat is None
