@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,14 +58,6 @@ class HbfStages:
     b_ut: np.ndarray       # N_RFu_tx x K
     eff1: np.ndarray       # N_RFu_rx x N_RFb
     eff2: np.ndarray       # K x N_RFu_tx
-    group_slices: list[slice] = field(default_factory=list)
-    pairs_bs: list[QuantizedPair] = field(default_factory=list)
-    pairs_uav_rx: list[QuantizedPair] = field(default_factory=list)
-    group_pairs: list[list[QuantizedPair]] = field(default_factory=list)
-
-    @property
-    def num_users(self) -> int:
-        return self.b_b.shape[1]
 
 
 def grid_cosines(n: int) -> np.ndarray:
@@ -161,11 +153,11 @@ def build_f_ur(pairs: list[QuantizedPair], nx: int, ny: int,
 def build_f_ut(group_supports: list[AngularSupport], nx: int, ny: int,
                spacing: float = 0.5, budget: int | None = None,
                minimums: list[int] | None = None, samples: int = 200
-               ) -> tuple[np.ndarray, list[slice], list[list[QuantizedPair]]]:
+               ) -> tuple[np.ndarray, list[slice]]:
     """UAV analog precoder: per-group column blocks, concatenated.
 
-    Returns the stage, the column slice of each group, and the selected
-    pairs per group. Warns OverlappingSupports when two groups share a cell.
+    Returns the stage and the column slice of each group. Warns
+    OverlappingSupports when two groups share a cell.
     """
     group_pairs = []
     for g, sup in enumerate(group_supports):
@@ -187,7 +179,7 @@ def build_f_ut(group_supports: list[AngularSupport], nx: int, ny: int,
     for block in blocks:
         slices.append(slice(start, start + block.shape[1]))
         start += block.shape[1]
-    return f_ut, slices, group_pairs
+    return f_ut, slices
 
 
 def cross_group_leakage(other_group_rows: np.ndarray, f_block: np.ndarray
@@ -238,10 +230,7 @@ def bb_second_link(eff2: np.ndarray, ridge: float) -> np.ndarray:
 
 def assemble_stages(h1: np.ndarray, h2: np.ndarray, f_b: np.ndarray,
                     f_ur: np.ndarray, f_ut: np.ndarray, p_t_mw: float,
-                    sigma2_mw: float,
-                    group_slices: list[slice] | None = None,
-                    pairs_bs=None, pairs_uav_rx=None, group_pairs=None
-                    ) -> HbfStages:
+                    sigma2_mw: float) -> HbfStages:
     """Digital stages and effective channels on top of fixed analog stages."""
     k = h2.shape[0]
     eff1 = f_ur @ h1 @ f_b
@@ -249,7 +238,4 @@ def assemble_stages(h1: np.ndarray, h2: np.ndarray, f_b: np.ndarray,
     b_b, b_ur, _ = bb_first_link(eff1, p_t_mw, k)
     b_ut = bb_second_link(eff2, sigma2_mw / p_t_mw)
     return HbfStages(f_b=f_b, b_b=b_b, f_ur=f_ur, b_ur=b_ur, f_ut=f_ut,
-                     b_ut=b_ut, eff1=eff1, eff2=eff2,
-                     group_slices=group_slices or [],
-                     pairs_bs=pairs_bs or [], pairs_uav_rx=pairs_uav_rx or [],
-                     group_pairs=group_pairs or [])
+                     b_ut=b_ut, eff1=eff1, eff2=eff2)

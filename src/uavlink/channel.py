@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,10 +51,15 @@ class ChannelPair:
     h2: np.ndarray          # K x N_t, UAV -> users (row per user)
     tau1: float
     tau2: np.ndarray
-    uav_xy: np.ndarray
-    first_link_tx: PathSet
-    first_link_rx: PathSet
-    user_paths: list[PathSet]
+
+
+class Supports(NamedTuple):
+    """The angular supports of one realization: both sides of the first
+    link, and one transmit support per user group."""
+
+    first_tx: AngularSupport
+    first_rx: AngularSupport
+    groups: list[AngularSupport]
 
 
 def direction_cosines(elev, azim) -> tuple[np.ndarray, np.ndarray]:
@@ -163,69 +169,63 @@ def second_link_rows(user_paths: list[PathSet], tx_shape: tuple[int, int],
     return h2
 
 
+ANGLE_MODELS = ("fixed", "geometric")
+
+
+def angular_supports(scenario: Scenario, users: list[Position3D],
+                     angle_model: str) -> Supports:
+    """Resolve a realization's angular supports under ``angle_model``.
+
+    ``fixed`` takes the scenario's supports as configured. ``geometric``
+    re-centres each one on a line of sight with the UAV at its default
+    position: the first link on BS <-> UAV, each group on UAV -> the
+    centroid of its ``users``. Either way the supports are resolved once per
+    realization, and every candidate UAV position reuses them.
+    """
+    if angle_model == "fixed":
+        return Supports(scenario.first_link_tx_support,
+                        scenario.first_link_rx_support,
+                        list(scenario.group_supports))
+    if angle_model != "geometric":
+        raise ValueError(f"unknown angle model {angle_model!r}")
+    uav = scenario.uav
+    groups, start = [], 0
+    for base, size in zip(scenario.group_supports, scenario.group_sizes):
+        members = users[start:start + size]
+        start += size
+        centroid = Position3D(
+            float(np.mean([u.x for u in members])),
+            float(np.mean([u.y for u in members])),
+            float(np.mean([u.z for u in members])))
+        groups.append(recenter_support(base, uav, centroid))
+    return Supports(
+        recenter_support(scenario.first_link_tx_support, scenario.bs, uav),
+        recenter_support(scenario.first_link_rx_support, uav, scenario.bs),
+        groups)
+
+
 def draw_first_link(scenario: Scenario, rng: np.random.Generator,
-                    angle_model: str = "fixed") -> tuple[PathSet, PathSet]:
+                    supports: Supports) -> tuple[PathSet, PathSet]:
     """Draw the first-hop paths (transmit side, receive side), which share
-    their gains, with the UAV at its default position."""
-    tx_sup, rx_sup = first_link_supports(
-        scenario, (scenario.uav.x, scenario.uav.y), angle_model)
+    their gains, inside the realization's first-link supports."""
     n_paths = scenario.paths_first_link
-    tx_elev, tx_azim = draw_path_angles(rng, tx_sup, n_paths)
-    rx_elev, rx_azim = draw_path_angles(rng, rx_sup, n_paths)
+    tx_elev, tx_azim = draw_path_angles(rng, supports.first_tx, n_paths)
+    rx_elev, rx_azim = draw_path_angles(rng, supports.first_rx, n_paths)
     gains = draw_gains(rng, n_paths)
     return (PathSet(tx_elev, tx_azim, gains),
             PathSet(rx_elev, rx_azim, gains))
 
 
 def draw_second_link(scenario: Scenario, rng: np.random.Generator,
-                     users: list[Position3D], angle_model: str = "fixed"
-                     ) -> list[PathSet]:
-    """Draw each user's second-hop paths with the UAV at its default
-    position."""
+                     supports: Supports) -> list[PathSet]:
+    """Draw each user's second-hop paths inside its group's support."""
     q = scenario.paths_second_link
-    supports = group_tx_supports(
-        scenario, users, (scenario.uav.x, scenario.uav.y), angle_model)
     user_paths = []
     for k in range(scenario.num_users):
-        sup = supports[scenario.group_of_user(k)]
+        sup = supports.groups[scenario.group_of_user(k)]
         elev, azim = draw_path_angles(rng, sup, q)
         user_paths.append(PathSet(elev, azim, draw_gains(rng, q)))
     return user_paths
-
-
-def first_link_supports(scenario: Scenario, uav_xy, angle_model: str
-                        ) -> tuple[AngularSupport, AngularSupport]:
-    if angle_model == "fixed":
-        return scenario.first_link_tx_support, scenario.first_link_rx_support
-    if angle_model == "geometric":
-        uav_pos = Position3D(float(uav_xy[0]), float(uav_xy[1]), scenario.uav.z)
-        tx = recenter_support(scenario.first_link_tx_support,
-                              scenario.bs, uav_pos)
-        rx = recenter_support(scenario.first_link_rx_support,
-                              uav_pos, scenario.bs)
-        return tx, rx
-    raise ValueError(f"unknown angle model {angle_model!r}")
-
-
-def group_tx_supports(scenario: Scenario, users: list[Position3D], uav_xy,
-                      angle_model: str) -> list[AngularSupport]:
-    if angle_model == "fixed":
-        return list(scenario.group_supports)
-    if angle_model == "geometric":
-        uav_pos = Position3D(float(uav_xy[0]), float(uav_xy[1]), scenario.uav.z)
-        supports = []
-        start = 0
-        for g, size in enumerate(scenario.group_sizes):
-            members = users[start:start + size]
-            start += size
-            centroid = Position3D(
-                float(np.mean([u.x for u in members])),
-                float(np.mean([u.y for u in members])),
-                float(np.mean([u.z for u in members])))
-            supports.append(recenter_support(scenario.group_supports[g],
-                                             uav_pos, centroid))
-        return supports
-    raise ValueError(f"unknown angle model {angle_model!r}")
 
 
 def recenter_support(base: AngularSupport, src: Position3D, dst: Position3D

@@ -84,12 +84,11 @@ def _load_spec(args) -> harness.ExperimentSpec:
 
 
 def _train_config(args) -> learn.TrainConfig:
+    dnn = {}
     if args.config:
         with open(args.config) as fh:
             dnn = json.load(fh).get("dnn", {})
-    else:
-        dnn = {}
-    cfg = learn.TrainConfig(**dnn)
+    cfg = learn.config_from_dict(dnn)
     if args.seed is not None:
         cfg.seed = args.seed
     return cfg

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import learn, pso, relay
+from .channel import ANGLE_MODELS
 from .geometry import Scenario, dbm_to_mw, noise_power, scenario_from_dict, \
     scenario_to_dict
 from .links import RfDesign, Realization, shared_rf
@@ -27,8 +28,6 @@ from .links import RfDesign, Realization, shared_rf
 SCHEMES = ("fl_eqpa", "psopa_fl", "psol_eqpa", "psolpa", "exhaustive", "dnn")
 _SCHEME_CODE = {name: i for i, name in enumerate(SCHEMES)}
 _SWARM_SCHEMES = ("psopa_fl", "psol_eqpa", "psolpa")
-ANGLE_MODELS = ("fixed", "geometric")
-_MODEL_CACHE: dict[str, learn.MlpModel] = {}
 
 
 @dataclass
@@ -93,12 +92,14 @@ def _solver_seed(spec: ExperimentSpec, index: int, scheme: str,
 
 
 def _apply_scheme(rlz: Realization, scheme: str, p_t_mw: float,
-                  sigma2_mw: float, spec: ExperimentSpec, decision=None):
+                  sigma2_mw: float, spec: ExperimentSpec, decision=None,
+                  model: learn.MlpModel | None = None):
     """One scheme on one realization; reported rates all go through the
     reference single-point formulas for comparability.
 
     ``decision`` is the (xy, p_hat) a swarm scheme's search found (see
-    :func:`_swarm_decisions`); the other schemes decide here.
+    :func:`_swarm_decisions`); ``model`` is the run's surrogate for ``dnn``;
+    the other schemes decide here.
     """
     xy, p_hat = rlz.default_xy, None      # None: equal power allocation
     if scheme in _SWARM_SCHEMES:
@@ -107,7 +108,6 @@ def _apply_scheme(rlz: Realization, scheme: str, p_t_mw: float,
         xy = pso.exhaustive_grid(rlz, spec.grid_dx, spec.grid_dy, p_t_mw,
                                  sigma2_mw).best_xy
     elif scheme == "dnn":
-        model = _load_model_cached(spec.model_path)
         xy, _, report = learn.apply_prediction(model, rlz, p_t_mw, sigma2_mw)
         return xy, report
     elif scheme != "fl_eqpa":
@@ -132,12 +132,6 @@ def _swarm_decisions(rlz: Realization, scheme: str, p_t_mw: list[float],
     return [(sol.xy, sol.p_hat) for sol in sols]
 
 
-def _load_model_cached(path: str) -> learn.MlpModel:
-    if path not in _MODEL_CACHE:
-        _MODEL_CACHE[path] = learn.load_model(path)
-    return _MODEL_CACHE[path]
-
-
 def realization(spec: ExperimentSpec, index: int,
                 rf: RfDesign | None = None) -> Realization:
     """Realization ``index`` of a run, drawn from SeedSequence([seed, index]).
@@ -149,8 +143,8 @@ def realization(spec: ExperimentSpec, index: int,
                        spec.angle_model, rf)
 
 
-def _realization_rows(spec: ExperimentSpec, index: int,
-                      rf: RfDesign | None) -> list[dict]:
+def _realization_rows(spec: ExperimentSpec, index: int, rf: RfDesign | None,
+                      model: learn.MlpModel | None) -> list[dict]:
     rlz = realization(spec, index, rf)
     sigma2_mw = dbm_to_mw(noise_power(spec.scenario))
     p_t_mw = [dbm_to_mw(p_t) for p_t in spec.p_t_dbm]
@@ -163,7 +157,7 @@ def _realization_rows(spec: ExperimentSpec, index: int,
             decision = (decisions[scheme][pt_index] if scheme in decisions
                         else None)
             xy, report = _apply_scheme(rlz, scheme, p_t_mw[pt_index],
-                                       sigma2_mw, spec, decision)
+                                       sigma2_mw, spec, decision, model)
             rows.append({
                 "realization": index, "scheme": scheme, "p_t_dbm": p_t,
                 "r1": report.r1, "r2": report.r2, "r_total": report.r_total,
@@ -177,15 +171,16 @@ def run(spec: ExperimentSpec, out_dir: str | None = None
     """Execute the full experiment; optionally write CSVs and a manifest."""
     t0 = time.perf_counter()
     rf = shared_rf(spec.scenario, spec.angle_model)
-    indices = list(range(spec.realizations))
+    # loaded here, once per run, so a rewritten file is never served stale
+    model = (learn.load_model(spec.model_path) if "dnn" in spec.schemes
+             else None)
+    args = [(spec, i, rf, model) for i in range(spec.realizations)]
     if spec.workers > 1:
         import multiprocessing as mp
         with mp.Pool(spec.workers) as pool:
-            per_index = pool.starmap(
-                _realization_rows, [(spec, i, rf) for i in indices],
-                chunksize=1)
+            per_index = pool.starmap(_realization_rows, args, chunksize=1)
     else:
-        per_index = [_realization_rows(spec, i, rf) for i in indices]
+        per_index = [_realization_rows(*a) for a in args]
     records = [row for rows in per_index for row in rows]
     records.sort(key=lambda r: (r["realization"],
                                 spec.p_t_dbm.index(r["p_t_dbm"]),
@@ -381,6 +376,7 @@ def spec_from_dict(cfg: dict) -> ExperimentSpec:
             raise ValueError(f"unknown config section {key!r}")
     scenario = scenario_from_dict(cfg.get("scenario", {}))
     swarm_cfg = pso.config_from_dict(cfg.get("pso", {}))
+    learn.config_from_dict(cfg.get("dnn", {}))   # read by `train` alone
     exp_cfg = cfg.get("experiment", {})
     unknown = set(exp_cfg) - _EXP_KEYS
     if unknown:

@@ -15,7 +15,7 @@ import json
 import math
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -72,6 +72,15 @@ class TrainConfig:
             raise ValueError("loss must be 'mse' or 'mae'")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch size must be >= 1 and epochs >= 0")
+
+
+def config_from_dict(section: dict) -> TrainConfig:
+    """The ``dnn`` config section as a TrainConfig; unknown fields are
+    errors."""
+    unknown = set(section) - {f.name for f in fields(TrainConfig)}
+    if unknown:
+        raise ValueError(f"unknown config field dnn.{sorted(unknown)[0]}")
+    return TrainConfig(**section)
 
 
 def init_model(layer_sizes: list[int], seed) -> MlpModel:
@@ -372,7 +381,7 @@ def generate_dataset(scenario: Scenario, count: int, master_seed: int,
         "scenario": scenario_to_dict(scenario),
     }
     meta_path = out_path + ".meta.json"
-    existing = _count_rows(out_path) if os.path.exists(out_path) else 0
+    existing = len(_read_rows(out_path)) if os.path.exists(out_path) else 0
     if existing:
         _check_resume(out_path, meta_path, existing, config)
     if existing < count:
@@ -399,25 +408,25 @@ def _write_meta(meta_path: str, count: int, config: dict) -> None:
         json.dump({"count": count, **config}, fh, indent=1)
 
 
-def _count_rows(path: str) -> int:
-    """Rows already in a dataset; a torn row is refused by line number, and
-    indices other than 0..n-1 once each by the first missing or repeated
-    one, before any new row is computed."""
-    with open(path) as fh:
-        lines = [(number, line) for number, line in enumerate(fh, 1)
-                 if line.strip()]
+def _read_rows(path: str) -> list[dict]:
+    """The rows of a dataset file, for a resume and for training alike; a
+    torn row is refused by line number, and indices other than 0..n-1 once
+    each by the first missing or repeated one."""
     rows = []
-    for number, line in lines:
-        try:
-            rows.append(json.loads(line))
-            complete = line.endswith("\n")
-        except ValueError:
-            complete = False
-        if not complete:
-            raise ValueError(f"{path} line {number} is not a complete row; "
-                             "remove that line to resume")
+    with open(path) as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                rows.append(json.loads(line))
+                complete = line.endswith("\n")
+            except ValueError:
+                complete = False
+            if not complete:
+                raise ValueError(f"{path} line {number} is not a complete "
+                                 "row; remove that line to resume")
     _check_indices(path, rows)
-    return len(rows)
+    return rows
 
 
 def _check_indices(path: str, rows: list[dict]) -> None:
@@ -456,14 +465,9 @@ def _check_resume(out_path: str, meta_path: str, existing: int,
 
 def load_dataset(path: str) -> tuple[np.ndarray, np.ndarray, list[dict]]:
     """Read a JSON-lines dataset back into feature/label matrices."""
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                rows.append(json.loads(line))
+    rows = _read_rows(path)
     if not rows:
         raise ValueError(f"no rows in {path}")
-    _check_indices(path, rows)
     rows.sort(key=lambda r: r["index"])
     width = len(rows[0]["features"])
     if any(len(r["features"]) != width for r in rows):

@@ -20,24 +20,23 @@ import numpy as np
 from . import beamforming as bf
 from . import channel as ch
 from . import rates
-from .geometry import Scenario, Position3D, distances, place_users
+from .geometry import Scenario, distances, place_users
 
 
 @dataclass
 class RfDesign:
-    """Analog stages for one scenario (support-driven, channel independent).
+    """Analog stages designed from one set of angular supports (channel
+    independent).
 
     The stage matrices are read-only, because one design may be shared by
     every realization of a run.
     """
 
+    supports: ch.Supports
     f_b: np.ndarray
     f_ur: np.ndarray
     f_ut: np.ndarray
     group_slices: list[slice]
-    pairs_bs: list[bf.QuantizedPair]
-    pairs_uav_rx: list[bf.QuantizedPair]
-    group_pairs: list[list[bf.QuantizedPair]]
 
 
 @dataclass
@@ -51,36 +50,25 @@ class BatchEval:
     alloc_mw: np.ndarray
 
 
-def design_rf_stages(scenario: Scenario, users: list[Position3D] | None = None,
-                     angle_model: str = "fixed") -> RfDesign:
-    """Build the three analog stages from the scenario's angular supports."""
-    tx_sup, rx_sup = ch.first_link_supports(
-        scenario, (scenario.uav.x, scenario.uav.y), angle_model)
+def design_rf_stages(scenario: Scenario, supports: ch.Supports) -> RfDesign:
+    """Build the three analog stages from a realization's angular supports."""
     k = scenario.num_users
-    pairs_bs = bf.select_pairs(tx_sup, *scenario.bs_array,
+    pairs_bs = bf.select_pairs(supports.first_tx, *scenario.bs_array,
                                budget=scenario.rf_budget_bs, minimum=k)
-    pairs_rx = bf.select_pairs(rx_sup, *scenario.uav_rx_array,
+    pairs_rx = bf.select_pairs(supports.first_rx, *scenario.uav_rx_array,
                                budget=scenario.rf_budget_uav_rx, minimum=k)
     f_b = bf.build_f_b(pairs_bs, *scenario.bs_array, scenario.element_spacing)
     f_ur = bf.build_f_ur(pairs_rx, *scenario.uav_rx_array,
                          scenario.element_spacing)
-    if angle_model == "geometric":
-        if users is None:
-            raise ValueError("geometric angle model needs the realized users")
-        supports = ch.group_tx_supports(
-            scenario, users, (scenario.uav.x, scenario.uav.y), angle_model)
-    else:
-        supports = list(scenario.group_supports)
-    f_ut, slices, group_pairs = bf.build_f_ut(
-        supports, *scenario.uav_tx_array, scenario.element_spacing,
+    f_ut, slices = bf.build_f_ut(
+        supports.groups, *scenario.uav_tx_array, scenario.element_spacing,
         budget=scenario.rf_budget_uav_tx_per_group,
         minimums=list(scenario.group_sizes))
     # one design may serve every realization of a run: freeze what it shares
     for stage in (f_b, f_ur, f_ut):
         stage.flags.writeable = False
-    return RfDesign(f_b=f_b, f_ur=f_ur, f_ut=f_ut, group_slices=slices,
-                    pairs_bs=pairs_bs, pairs_uav_rx=pairs_rx,
-                    group_pairs=group_pairs)
+    return RfDesign(supports=supports, f_b=f_b, f_ur=f_ur, f_ut=f_ut,
+                    group_slices=slices)
 
 
 def shared_rf(scenario: Scenario, angle_model: str = "fixed"
@@ -88,49 +76,52 @@ def shared_rf(scenario: Scenario, angle_model: str = "fixed"
     """The analog stages every realization of ``scenario`` shares, or None
     when each realization needs its own.
 
-    Under ``fixed`` the stages follow the scenario's supports alone, so one
-    design serves a whole run (and designing consumes no randomness). Under
-    ``geometric`` the group supports follow each realization's users.
+    Under ``fixed`` the supports, and so the stages, follow the scenario
+    alone, so one design serves a whole run (and designing consumes no
+    randomness). Under ``geometric`` the group supports follow each
+    realization's users.
     """
     if angle_model != "fixed":
         return None
-    return design_rf_stages(scenario)
+    return design_rf_stages(scenario,
+                            ch.angular_supports(scenario, [], angle_model))
 
 
 class Realization:
     """Drawn paths plus cached RF-collapsed matrices for fast evaluation.
 
-    ``rf`` is an optional prebuilt design for ``scenario`` (see
-    :func:`shared_rf`); without one the realization designs its own.
+    The angular supports are resolved once, with the UAV at its default
+    position (:func:`uavlink.channel.angular_supports`); every candidate
+    position reuses them. ``rf`` is an optional prebuilt design for
+    ``scenario`` (see :func:`shared_rf`); without one the realization
+    designs its own.
     """
 
     def __init__(self, scenario: Scenario, rng: np.random.Generator,
                  angle_model: str = "fixed", rf: RfDesign | None = None):
-        if rf is not None and angle_model != "fixed":
-            raise ValueError(
-                f"a shared RF design needs the fixed angle model, not "
-                f"{angle_model!r}: under geometric the group supports follow "
-                f"each realization's users")
         self.scenario = scenario
-        self.angle_model = angle_model
         if scenario.users is not None:
             self.users = list(scenario.users)
         else:
             self.users = place_users(rng, scenario.num_users,
                                      scenario.user_xy_range)
-        self.rf = rf if rf is not None else design_rf_stages(
-            scenario, self.users, angle_model)
+        supports = ch.angular_supports(scenario, self.users, angle_model)
+        if rf is not None and rf.supports != supports:
+            raise ValueError(
+                "the shared RF design was made from other angular supports "
+                "than this realization's: under the geometric angle model the "
+                "group supports follow each realization's users")
+        self.rf = rf if rf is not None else design_rf_stages(scenario,
+                                                             supports)
 
-        self.first_tx, self.first_rx = ch.draw_first_link(
-            scenario, rng, angle_model)
-        self.user_paths = ch.draw_second_link(
-            scenario, rng, self.users, angle_model)
+        first_tx, first_rx = ch.draw_first_link(scenario, rng, supports)
+        user_paths = ch.draw_second_link(scenario, rng, supports)
 
         self.h1_raw = ch.first_link_matrix(
-            self.first_tx, self.first_rx, scenario.uav_rx_array,
-            scenario.bs_array, scenario.element_spacing)
+            first_tx, first_rx, scenario.uav_rx_array, scenario.bs_array,
+            scenario.element_spacing)
         self.h2_raw = ch.second_link_rows(
-            self.user_paths, scenario.uav_tx_array, scenario.element_spacing)
+            user_paths, scenario.uav_tx_array, scenario.element_spacing)
 
         k = scenario.num_users
         self._eff1_raw = self.rf.f_ur @ self.h1_raw @ self.rf.f_b
@@ -231,11 +222,7 @@ class Realization:
         b_ut = bf.bb_second_link(eff2, sigma2_mw / p_t_mw)
         return bf.HbfStages(
             f_b=self.rf.f_b, b_b=b_b, f_ur=self.rf.f_ur, b_ur=self._b_ur,
-            f_ut=self.rf.f_ut, b_ut=b_ut, eff1=eff1, eff2=eff2,
-            group_slices=list(self.rf.group_slices),
-            pairs_bs=list(self.rf.pairs_bs),
-            pairs_uav_rx=list(self.rf.pairs_uav_rx),
-            group_pairs=[list(p) for p in self.rf.group_pairs])
+            f_ut=self.rf.f_ut, b_ut=b_ut, eff1=eff1, eff2=eff2)
 
     def rate_at(self, xy, p_t_mw: float, sigma2_mw: float, p_hat=None
                 ) -> rates.RateReport:
@@ -249,13 +236,10 @@ class Realization:
 
     def channel_pair_at(self, xy) -> ch.ChannelPair:
         """Physical channel matrices at one position (shared path draws)."""
-        xy = np.asarray(xy, dtype=float)
-        tau1, tau2, amp1, amp2 = self._pathloss(xy)
+        tau1, tau2, amp1, amp2 = self._pathloss(np.asarray(xy, dtype=float))
         return ch.ChannelPair(
             h1=float(amp1[0]) * self.h1_raw, h2=amp2[0][:, None] * self.h2_raw,
-            tau1=float(tau1[0]), tau2=tau2[0], uav_xy=xy,
-            first_link_tx=self.first_tx, first_link_rx=self.first_rx,
-            user_paths=self.user_paths)
+            tau1=float(tau1[0]), tau2=tau2[0])
 
 
 def make_realization(scenario: Scenario, seed, angle_model: str = "fixed"

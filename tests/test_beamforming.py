@@ -106,7 +106,8 @@ def test_grid_columns_are_orthonormal_at_half_wavelength():
 def test_group_blocks_and_overlap_warning():
     sups = [AngularSupport(1.0, 0.8, 0.15, 0.15),
             AngularSupport(1.0, 3.0, 0.15, 0.15)]
-    f_ut, slices, group_pairs = bf.build_f_ut(sups, 6, 6)
+    f_ut, slices = bf.build_f_ut(sups, 6, 6)
+    group_pairs = [bf.select_pairs(sup, 6, 6) for sup in sups]
     assert f_ut.shape[1] == sum(len(p) for p in group_pairs)
     assert [s.stop - s.start for s in slices] == [len(p) for p in group_pairs]
     with pytest.warns(bf.OverlappingSupports):
@@ -116,8 +117,8 @@ def test_group_blocks_and_overlap_warning():
 def test_rf_design_ignores_fast_fading():
     # same supports, different rng draws -> bit-identical analog stages
     s = Scenario()
-    d1 = design_rf_stages(s)
-    d2 = design_rf_stages(s)
+    d1 = design_rf_stages(s, ch.angular_supports(s, [], "fixed"))
+    d2 = design_rf_stages(s, ch.angular_supports(s, [], "fixed"))
     assert np.array_equal(d1.f_b, d2.f_b)
     assert np.array_equal(d1.f_ur, d2.f_ur)
     assert np.array_equal(d1.f_ut, d2.f_ut)
@@ -184,7 +185,7 @@ def test_unregularized_singular_system_raises():
 def test_cross_group_leakage_small_at_scale():
     s = Scenario(bs_array=(12, 12), uav_rx_array=(12, 12),
                  uav_tx_array=(12, 12))
-    rf = design_rf_stages(s)
+    rf = design_rf_stages(s, ch.angular_supports(s, [], "fixed"))
     rng = np.random.default_rng(7)
     for g, sup in enumerate(s.group_supports):
         elev, azim = ch.draw_path_angles(rng, sup, 64)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uavlink import channel as ch
-from uavlink.geometry import AngularSupport, Position3D, Scenario
+from uavlink.geometry import AngularSupport, Position3D, Scenario, place_users
 
 
 def test_receive_steering_two_element_example():
@@ -82,9 +82,10 @@ def test_first_link_norm_tracks_pathloss_model():
     draws = 10_000
     tau1 = math.sqrt(5100.0)
     amp = ch.pathloss_amplitude(tau1, s.ref_pathloss_db, s.pathloss_exp)
+    supports = ch.angular_supports(s, [], "fixed")
     acc = 0.0
     for _ in range(draws):
-        tx, rx = ch.draw_first_link(s, rng)
+        tx, rx = ch.draw_first_link(s, rng, supports)
         h1 = amp * ch.first_link_matrix(tx, rx, s.uav_rx_array, s.bs_array,
                                         s.element_spacing)
         acc += np.sum(np.abs(h1) ** 2)
@@ -95,13 +96,34 @@ def test_first_link_norm_tracks_pathloss_model():
 def test_path_angles_stay_inside_declared_supports():
     s = Scenario()
     rng = np.random.default_rng(1)
-    tx, rx = ch.draw_first_link(s, rng)
+    tx, rx = ch.draw_first_link(s, rng, ch.angular_supports(s, [], "fixed"))
     for paths, sup in ((tx, s.first_link_tx_support),
                        (rx, s.first_link_rx_support)):
         lo, hi = sup.elev_interval
         assert np.all((paths.elev >= lo) & (paths.elev <= hi))
         lo, hi = sup.azim_interval
         assert np.all((paths.azim >= lo) & (paths.azim <= hi))
+
+
+def test_angular_supports_resolve_each_angle_model():
+    s = Scenario()
+    users = place_users(np.random.default_rng(4), s.num_users,
+                        s.user_xy_range)
+    fixed = ch.angular_supports(s, users, "fixed")
+    assert fixed == (s.first_link_tx_support, s.first_link_rx_support,
+                     s.group_supports)
+    geo = ch.angular_supports(s, users, "geometric")
+    assert geo.first_rx == ch.recenter_support(s.first_link_rx_support,
+                                               s.uav, s.bs)
+    start = 0
+    for g, size in enumerate(s.group_sizes):
+        centroid = np.mean([u.as_array() for u in users[start:start + size]],
+                           axis=0)
+        start += size
+        assert geo.groups[g] == ch.recenter_support(
+            s.group_supports[g], s.uav, Position3D(*centroid))
+    with pytest.raises(ValueError, match="unknown angle model 'geometrical'"):
+        ch.angular_supports(s, users, "geometrical")
 
 
 def test_mean_path_power_is_normalized():
@@ -120,10 +142,12 @@ def test_geometric_mode_recentres_on_line_of_sight():
     assert sup.spread_elev == base.spread_elev
 
     s = Scenario()
-    rng = np.random.default_rng(3)
-    tx_fixed, _ = ch.draw_first_link(s, rng, angle_model="fixed")
-    tx_geo, _ = ch.draw_first_link(
-        s, np.random.default_rng(3), angle_model="geometric")
+    users = place_users(np.random.default_rng(4), s.num_users,
+                        s.user_xy_range)
+    tx_fixed, _ = ch.draw_first_link(s, np.random.default_rng(3),
+                                     ch.angular_supports(s, users, "fixed"))
+    tx_geo, _ = ch.draw_first_link(s, np.random.default_rng(3),
+                                   ch.angular_supports(s, users, "geometric"))
     assert tx_fixed.size == tx_geo.size
     los = np.array([50.0, 50.0, 20.0]) - np.array([0.0, 0.0, 10.0])
     elev_los = math.acos(los[2] / np.linalg.norm(los))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import warnings
@@ -143,6 +144,10 @@ def test_spec_from_dict_rejects_unknown_fields():
     with pytest.raises(ValueError,
                        match="unknown config field scenario.bs_arrray"):
         spec_from_dict({"scenario": {"bs_arrray": [8, 8]}})
+    # run does not train, but refuses a misspelled dnn field all the same
+    with pytest.raises(ValueError,
+                       match="unknown config field dnn.hiden_layers"):
+        spec_from_dict({"dnn": {"hiden_layers": [8]}})
 
 
 def test_manifest_contents(tmp_path):
@@ -246,6 +251,23 @@ def test_run_records_match_self_designed_realizations(monkeypatch):
     monkeypatch.setattr(harness, "shared_rf", lambda scenario, model: None)
     _, own = run(spec)
     assert shared == own
+
+
+def test_run_reads_a_rewritten_model_file(tmp_path):
+    path, other = tmp_path / "model.npz", tmp_path / "other.npz"
+    spec = _small_spec(schemes=["dnn"], model_path=str(path))
+    k, (rows, cols) = spec.scenario.num_users, spec.scenario.uav_tx_array
+    n_rf = harness.realization(spec, 0).rf.f_ut.shape[1]
+    sizes = [learn.feature_length(k, rows * cols, n_rf), 4, k + 2]
+    learn.save_model(learn.init_model(sizes, 1), str(path))
+    _, first = run(spec)
+    second = learn.init_model(sizes, 2)
+    learn.save_model(second, str(path))
+    learn.save_model(second, str(other))
+    _, rewritten = run(spec)
+    _, fresh = run(dataclasses.replace(spec, model_path=str(other)))
+    assert first != fresh
+    assert rewritten == fresh
 
 
 def test_load_spec_from_json_file(tmp_path):
@@ -391,6 +413,17 @@ def test_cli_reports_malformed_support_as_json(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
     assert "scenario.first_link_supports_deg.rx" in err["message"]
+
+
+def test_cli_rejects_a_misspelled_dnn_field(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dnn": {"hiden_layers": [8]}}))
+    code = cli.main(["train", "--config", str(bad), "--dataset",
+                     str(tmp_path / "rows.jsonl")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError",
+                   "message": "unknown config field dnn.hiden_layers"}
 
 
 def test_cli_train_needs_enough_rows(tmp_path, capsys):

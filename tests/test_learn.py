@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -354,6 +355,17 @@ def test_model_round_trip(tmp_path):
         assert np.array_equal(w0, w1)
     x = np.random.default_rng(0).normal(size=5)
     assert np.array_equal(forward(model, x), forward(back, x))
+
+
+def test_load_dataset_refuses_a_torn_last_row_by_line(tmp_path):
+    path = _index_rows(tmp_path / "torn.jsonl", [0, 1])
+    row = json.dumps({"index": 2, "features": [1.0, 2.0],
+                      "labels": [0.1, 0.2, 0.3]})
+    with open(path, "a") as fh:
+        fh.write(row[:30])
+    with pytest.raises(ValueError, match=re.escape(
+            f"{path} line 3 is not a complete row")):
+        load_dataset(path)
 
 
 def test_load_dataset_rejects_empty_and_ragged(tmp_path):

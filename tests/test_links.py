@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from uavlink import channel as ch
 from uavlink import rates
 from uavlink.beamforming import OverlappingSupports
 from uavlink.geometry import (OutOfBox, Position3D, Scenario, dbm_to_mw,
@@ -128,7 +129,8 @@ def test_rate_at_accepts_relative_powers(desk_realization, p20_mw,
 def test_rf_design_stages_are_read_only(desk_scenario, desk_realization,
                                         p20_mw, desk_sigma2):
     # one design reaches every realization of a run, so none may edit it
-    rf = design_rf_stages(desk_scenario)
+    rf = design_rf_stages(desk_scenario,
+                          ch.angular_supports(desk_scenario, [], "fixed"))
     stages = desk_realization.stages_at(desk_realization.default_xy, p20_mw,
                                         desk_sigma2)
     for stage in (rf.f_b, rf.f_ur, rf.f_ut, stages.f_b, stages.f_ur,
@@ -154,7 +156,8 @@ def test_shared_rf_design_builds_the_same_realization(desk_scenario, p20_mw,
 
 def test_geometric_angle_model_refuses_a_shared_design(desk_scenario):
     assert shared_rf(desk_scenario, "geometric") is None
-    rf = design_rf_stages(desk_scenario)
+    rf = design_rf_stages(desk_scenario,
+                          ch.angular_supports(desk_scenario, [], "fixed"))
     with pytest.raises(ValueError, match="geometric"):
         Realization(desk_scenario, np.random.default_rng(0),
                     angle_model="geometric", rf=rf)
