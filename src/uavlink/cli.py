@@ -84,11 +84,8 @@ def _load_spec(args) -> harness.ExperimentSpec:
 
 
 def _train_config(args) -> learn.TrainConfig:
-    dnn = {}
-    if args.config:
-        with open(args.config) as fh:
-            dnn = json.load(fh).get("dnn", {})
-    cfg = learn.config_from_dict(dnn)
+    cfg = learn.config_from_dict(
+        harness.read_config(args.config).get("dnn", {}) if args.config else {})
     if args.seed is not None:
         cfg.seed = args.seed
     return cfg

@@ -223,9 +223,10 @@ def distances(scenario: Scenario, xys, user_xyz: np.ndarray
     """3-D distances for a batch of candidate UAV positions (x, y).
 
     Returns tau1 (n,), BS->UAV, and tau2 (n, K), UAV->user k at row k of
-    ``user_xyz``; the UAV altitude is the scenario's. Raises OutOfBox for a
-    candidate outside the deployment box and DegenerateGeometry if any
-    distance is zero.
+    ``user_xyz``, shape (K, 3) shared by every candidate or (n, K, 3) one
+    set per candidate; the UAV altitude is the scenario's. Raises OutOfBox
+    for a candidate outside the deployment box and DegenerateGeometry if
+    any distance is zero.
     """
     xys = np.atleast_2d(np.asarray(xys, dtype=float))
     box = scenario.box
@@ -238,9 +239,9 @@ def distances(scenario: Scenario, xys, user_xyz: np.ndarray
     bs = scenario.bs.as_array()
     d1 = np.hypot(xys[:, 0] - bs[0], xys[:, 1] - bs[1])
     tau1 = np.sqrt(d1 ** 2 + (z - bs[2]) ** 2)
-    dx = xys[:, 0][:, None] - user_xyz[None, :, 0]
-    dy = xys[:, 1][:, None] - user_xyz[None, :, 1]
-    dz = z - user_xyz[None, :, 2]
+    dx = xys[:, 0][:, None] - user_xyz[..., 0]
+    dy = xys[:, 1][:, None] - user_xyz[..., 1]
+    dz = z - user_xyz[..., 2]
     tau2 = np.sqrt(dx ** 2 + dy ** 2 + dz ** 2)
     if np.any(tau1 == 0.0) or np.any(tau2 == 0.0):
         raise DegenerateGeometry("zero propagation distance")

@@ -384,13 +384,18 @@ def spec_from_dict(cfg: dict) -> ExperimentSpec:
     return ExperimentSpec(scenario=scenario, pso=swarm_cfg, **exp_cfg)
 
 
-def load_spec(path: str) -> ExperimentSpec:
+def read_config(path: str) -> dict:
+    """The JSON config file at ``path``; malformed JSON is refused naming
+    the file."""
     with open(path) as fh:
         try:
-            cfg = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as err:
             raise ValueError(f"config {path} is not valid JSON: {err}") from err
-    return spec_from_dict(cfg)
+
+
+def load_spec(path: str) -> ExperimentSpec:
+    return spec_from_dict(read_config(path))
 
 
 def paper_scale_spec(**overrides) -> ExperimentSpec:

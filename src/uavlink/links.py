@@ -8,12 +8,18 @@ link's K x K Gram once, and evaluates whole batches of candidate positions
 with stacked numpy ops: the first hop as a difference of log-dets, the
 second through the push-through form of RZF on K x K matrices only, with
 the SINR of :func:`uavlink.rates.sinr_from_couplings`.
+
+The caches carry a leading realization axis, of length one for a drawn
+realization. :func:`stack_realizations` joins realizations of one scenario
+on that axis, so one ``evaluate_batch`` call scores candidates spread over
+many realizations; each candidate's result equals the one its own
+realization gives.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -76,15 +82,16 @@ def shared_rf(scenario: Scenario, angle_model: str = "fixed"
     """The analog stages every realization of ``scenario`` shares, or None
     when each realization needs its own.
 
-    Under ``fixed`` the supports, and so the stages, follow the scenario
-    alone, so one design serves a whole run (and designing consumes no
-    randomness). Under ``geometric`` the group supports follow each
-    realization's users.
+    The stages follow the supports alone, so one design serves a whole
+    run whenever the supports do not depend on drawn users: under ``fixed``,
+    and under ``geometric`` with ``scenario.users`` configured. Designing
+    consumes no randomness. Under ``geometric`` with drawn users the group
+    supports follow each realization's users.
     """
-    if angle_model != "fixed":
+    if angle_model != "fixed" and scenario.users is None:
         return None
-    return design_rf_stages(scenario,
-                            ch.angular_supports(scenario, [], angle_model))
+    return design_rf_stages(scenario, ch.angular_supports(
+        scenario, list(scenario.users or []), angle_model))
 
 
 class Realization:
@@ -95,6 +102,10 @@ class Realization:
     position reuses them. ``rf`` is an optional prebuilt design for
     ``scenario`` (see :func:`shared_rf`); without one the realization
     designs its own.
+
+    The evaluation caches have a leading realization axis, of length one
+    here and R in a stack (:func:`stack_realizations`), which evaluates
+    batches only: its single-position methods refuse.
     """
 
     def __init__(self, scenario: Scenario, rng: np.random.Generator,
@@ -128,14 +139,16 @@ class Realization:
         # at unit power per stream the precoder is V[:, :K] itself
         self._v1k, self._b_ur, _ = bf.bb_first_link(self._eff1_raw, k, k)
         m0 = self._b_ur @ self._eff1_raw @ self._v1k
-        self._s0 = m0 @ m0.conj().T
-        self._s0 = 0.5 * (self._s0 + self._s0.conj().T)
+        s0 = m0 @ m0.conj().T
         w = self._b_ur @ self.rf.f_ur
-        self._q1_unit = w @ w.conj().T
-        self._q1_unit = 0.5 * (self._q1_unit + self._q1_unit.conj().T)
+        q1_unit = w @ w.conj().T
         self._eff2_raw = self.h2_raw @ self.rf.f_ut
-        self._gram2 = self._eff2_raw @ self._eff2_raw.conj().T   # K x K
-        self._user_xyz = np.array([u.as_array() for u in self.users])
+        gram2 = self._eff2_raw @ self._eff2_raw.conj().T        # K x K
+        self._s0 = 0.5 * (s0 + s0.conj().T)[None]
+        self._q1_unit = 0.5 * (q1_unit + q1_unit.conj().T)[None]
+        self._gram2 = gram2[None]
+        self._user_xyz = np.array([u.as_array() for u in self.users])[None]
+        self._n_rf = np.array([self._eff2_raw.shape[1]])
 
     # -- geometry ------------------------------------------------------------
 
@@ -147,51 +160,74 @@ class Realization:
     def default_xy(self) -> np.ndarray:
         return np.array([self.scenario.uav.x, self.scenario.uav.y])
 
-    def _pathloss(self, xys) -> tuple[np.ndarray, ...]:
+    @property
+    def size(self) -> int:
+        """Realizations held: 1 for a drawn one, R for a stack."""
+        return self._s0.shape[0]
+
+    def _pathloss(self, xys, user_xyz) -> tuple[np.ndarray, ...]:
         """Hop distances tau1 (n,), tau2 (n, K) and their amplitudes."""
         sc = self.scenario
-        taus = distances(sc, xys, self._user_xyz)
+        taus = distances(sc, xys, user_xyz)
         return (*taus, *(ch.pathloss_amplitude(t, sc.ref_pathloss_db,
                                                sc.pathloss_exp) for t in taus))
+
+    def _lone_pathloss(self, xy, what: str) -> tuple[np.ndarray, ...]:
+        """``_pathloss`` at one position of a drawn realization; a stack
+        has no single realization to answer for."""
+        if self.size != 1:
+            raise ValueError(f"{what} needs one realization, not a stack of "
+                             f"{self.size}; a stack evaluates batches only")
+        return self._pathloss(np.asarray(xy, dtype=float), self._user_xyz[0])
 
     # -- evaluation ----------------------------------------------------------
 
     def evaluate_batch(self, xys, p_t_mw, sigma2_mw: float,
-                       p_hat=None) -> BatchEval:
+                       p_hat=None, index=None) -> BatchEval:
         """Rates at a batch of candidate positions.
 
         ``p_t_mw`` is the transmit budget, one shared or shape (n,) one per
         candidate. ``p_hat`` gives relative per-user powers, shape (K,)
         shared or (n, K) per candidate; None means equal. Absolute powers
         are scaled to meet each candidate's budget with equality at its
-        position. Each row's result depends on that row's inputs alone.
+        position. ``index`` gives each candidate's realization in a stack,
+        shape (n,); None puts every candidate on realization 0. Each row's
+        result depends on that row's inputs alone.
         """
         xys = np.atleast_2d(np.asarray(xys, dtype=float))
         n = xys.shape[0]
         k = self.num_users
+        if index is None:
+            at = 0      # realization 0's caches, broadcast over the batch
+        else:
+            at = np.asarray(index)
+            if (at.shape != (n,) or at.dtype.kind not in "iu"
+                    or n and not 0 <= at.min() <= at.max() < self.size):
+                raise ValueError(f"realization index must be (n,) integers "
+                                 f"in [0, {self.size})")
         p_t = np.asarray(p_t_mw, dtype=float)
         if p_t.ndim > 1 or (p_t.ndim == 1 and p_t.shape != (n,)):
             raise ValueError("transmit budget must be one value or (n,)")
         p_t = p_t if p_t.ndim else float(p_t)   # a float keeps scalar ops fast
-        _, _, amp1, amp2 = self._pathloss(xys)
+        _, _, amp1, amp2 = self._pathloss(xys, self._user_xyz[at])
 
-        # first hop: scaled identity-plus-covariance log-dets
+        # first hop: scaled identity-plus-covariance log-dets, the noise
+        # term once per realization
         scale = amp1 ** 2 * (p_t / k)
         q = sigma2_mw * self._q1_unit
         sign_q, logdet_q = np.linalg.slogdet(q)
-        arg = q[None, :, :] + scale[:, None, None] * self._s0[None, :, :]
+        arg = q[at] + scale[:, None, None] * self._s0[at]
         sign_t, logdet_t = np.linalg.slogdet(arg)
-        if np.real(sign_q) <= 0.0 or np.any(np.real(sign_t) <= 0.0):
+        if (sign_q.real <= 0.0).any() or (sign_t.real <= 0.0).any():
             raise rates.NumericalFailure(
                 "noise covariance lost positive definiteness")
-        r1 = (logdet_t - logdet_q) / math.log(2.0)
+        r1 = (logdet_t - logdet_q[at]) / math.log(2.0)
 
         # second hop: RZF B = (E^H E + cI)^-1 E^H = E^H A^-1 (push-through),
         # A = G + cI with G = E E^H = D G0 D; then C = E B = G A^-1 and the
         # column gains diag(B^H B) = diag(A^-1 G A^-1), all K x K
-        gram = amp2[:, :, None] * self._gram2[None, :, :] * amp2[:, None, :]
-        n_rf = self._eff2_raw.shape[1]
-        ridge = sigma2_mw / p_t * n_rf
+        gram = amp2[:, :, None] * self._gram2[at] * amp2[:, None, :]
+        ridge = sigma2_mw / p_t * self._n_rf[at]    # each candidate's N_RF
         a_inv = np.linalg.inv(gram + np.multiply.outer(ridge, np.eye(k)))
         c = gram @ a_inv                                         # n x K x K
         col_gain = np.einsum("nkj,njk->nk", a_inv, c).real       # n x K
@@ -215,7 +251,7 @@ class Realization:
 
     def stages_at(self, xy, p_t_mw: float, sigma2_mw: float) -> bf.HbfStages:
         """Full stage set at one position, reusing the cached first-link SVD."""
-        _, _, amp1, amp2 = self._pathloss(np.asarray(xy, dtype=float))
+        _, _, amp1, amp2 = self._lone_pathloss(xy, "stages_at")
         eff1 = float(amp1[0]) * self._eff1_raw
         eff2 = amp2[0][:, None] * self._eff2_raw
         b_b = math.sqrt(p_t_mw / self.num_users) * self._v1k
@@ -236,10 +272,38 @@ class Realization:
 
     def channel_pair_at(self, xy) -> ch.ChannelPair:
         """Physical channel matrices at one position (shared path draws)."""
-        tau1, tau2, amp1, amp2 = self._pathloss(np.asarray(xy, dtype=float))
+        tau1, tau2, amp1, amp2 = self._lone_pathloss(xy, "channel_pair_at")
         return ch.ChannelPair(
             h1=float(amp1[0]) * self.h1_raw, h2=amp2[0][:, None] * self.h2_raw,
             tau1=float(tau1[0]), tau2=tau2[0])
+
+
+def stack_realizations(realizations: list[Realization]) -> Realization:
+    """Realizations of one scenario joined on the caches' realization axis.
+
+    The stack is a :class:`Realization` for batch evaluation only: pass
+    ``evaluate_batch`` each candidate's position in ``realizations`` as
+    its ``index``. It is assembled from the drawn realizations, so it
+    draws, designs and builds nothing.
+    """
+    if not realizations:
+        raise ValueError("no realizations to stack")
+    scenario = realizations[0].scenario
+    for i, rlz in enumerate(realizations):
+        if rlz.scenario != scenario:
+            name = next(f.name for f in fields(scenario)
+                        if getattr(rlz.scenario, f.name)
+                        != getattr(scenario, f.name))
+            raise ValueError(
+                f"cannot stack realizations of different scenarios: "
+                f"realization {i} differs from realization 0 in "
+                f"scenario.{name}")
+    out = Realization.__new__(Realization)
+    out.scenario = scenario
+    for name in ("_s0", "_q1_unit", "_gram2", "_user_xyz", "_n_rf"):
+        setattr(out, name, np.concatenate(
+            [getattr(rlz, name) for rlz in realizations]))
+    return out
 
 
 def make_realization(scenario: Scenario, seed, angle_model: str = "fixed"

@@ -9,7 +9,9 @@ per list element in lockstep, with one batch evaluation per iteration over
 every swarm's particles; each swarm draws from its own stream, so with a
 fixed seed every swarm is bit-reproducible and equals the same swarm run
 alone. A list is therefore never read as one seed's entropy: wrap such
-entropy as ``np.random.SeedSequence([...])``.
+entropy as ``np.random.SeedSequence([...])``. A list of realizations paired
+with the list of seeds runs each swarm on its own realization, through one
+stack of the realizations (:func:`uavlink.links.stack_realizations`).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .links import Realization
+from .links import Realization, stack_realizations
 
 
 @dataclass
@@ -178,14 +180,16 @@ def _objective_field(batch, name: str) -> np.ndarray:
 
 
 def _eval_candidates(rlz: Realization, xys: np.ndarray, p_hat, p_t_mw,
-                     sigma2_mw: float, objective) -> np.ndarray:
+                     sigma2_mw: float, objective, index=None) -> np.ndarray:
     """Objective values of a batch of candidates.
 
     ``p_hat`` None means equal powers. ``p_t_mw`` is one budget or one per
     candidate. ``objective`` is one name, or a list of S names that score S
-    equal consecutive blocks of candidates (one block per swarm). Clipping
-    can zero out a whole power row, which is an infeasible allocation and
-    scores -inf rather than raising.
+    equal consecutive blocks of candidates (one block per swarm). ``index``
+    places each candidate on a realization of a stack (see
+    ``Realization.evaluate_batch``). Clipping can zero out a whole power
+    row, which is an infeasible allocation and scores -inf rather than
+    raising.
     """
     n = xys.shape[0]
     dead = (np.zeros(n, dtype=bool) if p_hat is None
@@ -194,7 +198,7 @@ def _eval_candidates(rlz: Realization, xys: np.ndarray, p_hat, p_t_mw,
         # rows are independent, so a dead row is scored on equal powers
         # and then overwritten
         p_hat = np.where(dead[:, None], 1.0, p_hat)
-    batch = rlz.evaluate_batch(xys, p_t_mw, sigma2_mw, p_hat)
+    batch = rlz.evaluate_batch(xys, p_t_mw, sigma2_mw, p_hat, index)
     names = np.atleast_1d(objective).tolist()
     rows = n // len(names)
     values = np.concatenate([
@@ -211,9 +215,15 @@ def _per_swarm(value, s: int, what: str) -> list:
     return values
 
 
-def _solve(rlz: Realization, cfg: PsoConfig, p_t_mw, sigma2_mw: float, seed,
-           objective, dim: int, warm: np.ndarray, decode
-           ) -> SolveResult | list:
+def _lead(rlz: Realization | list[Realization]) -> Realization:
+    """The realization that stands for the scenario of a solve: ``rlz``,
+    or the first of a list (whose realizations share one scenario)."""
+    return rlz[0] if isinstance(rlz, list) else rlz
+
+
+def _solve(rlz: Realization | list[Realization], cfg: PsoConfig, p_t_mw,
+           sigma2_mw: float, seed, objective, dim: int, warm: np.ndarray,
+           decode) -> SolveResult | list:
     """Run one swarm per seed in lockstep and decode each best position.
 
     ``decode`` maps unit coordinates (..., dim) to candidate positions
@@ -221,18 +231,30 @@ def _solve(rlz: Realization, cfg: PsoConfig, p_t_mw, sigma2_mw: float, seed,
     runs one swarm per element and returns a list of results; ``p_t_mw``
     and ``objective`` are then one value for every swarm or one per swarm.
     Any other seed (an int, a ``SeedSequence``, a tuple of entropy) runs
-    one swarm and returns one result.
+    one swarm and returns one result. ``rlz`` is one realization for every
+    swarm, or a list of one per swarm, which needs a list of seeds; the
+    list is stacked and each swarm's candidates are scored on its own
+    realization.
     """
     seeds = seed if isinstance(seed, list) else [seed]
     s, m = len(seeds), cfg.particles
     objectives = _per_swarm(objective, s, "objective")
     p_t_rows = np.repeat(np.asarray(_per_swarm(p_t_mw, s, "p_t_mw"),
                                     dtype=float), m)
+    index = None
+    if isinstance(rlz, list):
+        if not isinstance(seed, list):
+            raise ValueError("a list of realizations needs a list of seeds, "
+                             "one per realization")
+        if len(rlz) != s:
+            raise ValueError(f"rlz gives {len(rlz)} realizations for {s} "
+                             "swarms")
+        rlz, index = stack_realizations(rlz), np.repeat(np.arange(s), m)
 
     def evaluate(coords: np.ndarray) -> np.ndarray:
         xys, p_hat = decode(coords.reshape(s * m, dim))
         return _eval_candidates(rlz, xys, p_hat, p_t_rows, sigma2_mw,
-                                objectives).reshape(s, m)
+                                objectives, index).reshape(s, m)
 
     run = run_swarms(evaluate, dim, cfg, seeds, [warm])
     results = []
@@ -248,62 +270,68 @@ def _solve(rlz: Realization, cfg: PsoConfig, p_t_mw, sigma2_mw: float, seed,
     return results if isinstance(seed, list) else results[0]
 
 
-def solve_pa_fixed_loc(rlz: Realization, uav_xy, cfg: PsoConfig,
-                       p_t_mw, sigma2_mw: float, seed,
+def solve_pa_fixed_loc(rlz: Realization | list[Realization], uav_xy,
+                       cfg: PsoConfig, p_t_mw, sigma2_mw: float, seed,
                        objective="r_total") -> SolveResult | list:
     """Optimize relative per-user powers at a fixed UAV position.
 
     The first particle starts at the equal allocation, so the solution is
     never worse than equal power on the same realization. A list ``seed``
     steps one swarm per element in lockstep and returns a list, so a list
-    of entropy for one swarm must be wrapped as ``SeedSequence([...])``
-    (see :func:`_solve`).
+    of entropy for one swarm must be wrapped as ``SeedSequence([...])``;
+    ``rlz`` may be a list of one realization per seed, all searched at
+    ``uav_xy`` (see :func:`_solve`).
     """
     xy = np.asarray(uav_xy, dtype=float)
+    k = _lead(rlz).num_users
 
     def decode(coords):
         return np.broadcast_to(xy, coords.shape[:-1] + (2,)), coords ** 2
 
-    return _solve(rlz, cfg, p_t_mw, sigma2_mw, seed, objective,
-                  rlz.num_users, np.ones(rlz.num_users), decode)
+    return _solve(rlz, cfg, p_t_mw, sigma2_mw, seed, objective, k,
+                  np.ones(k), decode)
 
 
-def solve_loc_equal_pa(rlz: Realization, cfg: PsoConfig, p_t_mw,
-                       sigma2_mw: float, seed, objective="r_total"
+def solve_loc_equal_pa(rlz: Realization | list[Realization], cfg: PsoConfig,
+                       p_t_mw, sigma2_mw: float, seed, objective="r_total"
                        ) -> SolveResult | list:
     """Optimize the UAV position under an equal power allocation.
 
     The first particle starts at the default deployment, so the solution is
     never worse than not moving the UAV at all. A list ``seed`` steps one
     swarm per element in lockstep and returns a list, so a list of entropy
-    for one swarm must be wrapped as ``SeedSequence([...])`` (see
-    :func:`_solve`).
+    for one swarm must be wrapped as ``SeedSequence([...])``; ``rlz`` may
+    be a list of one realization per seed (see :func:`_solve`).
     """
-    box = rlz.scenario.box
+    lead = _lead(rlz)
+    box = lead.scenario.box
 
     def decode(coords):
         return box.from_unit(coords), None
 
     return _solve(rlz, cfg, p_t_mw, sigma2_mw, seed, objective, 2,
-                  box.to_unit(rlz.default_xy), decode)
+                  box.to_unit(lead.default_xy), decode)
 
 
-def solve_joint(rlz: Realization, cfg: PsoConfig, p_t_mw, sigma2_mw: float,
-                seed, objective="r_total") -> SolveResult | list:
+def solve_joint(rlz: Realization | list[Realization], cfg: PsoConfig, p_t_mw,
+                sigma2_mw: float, seed, objective="r_total"
+                ) -> SolveResult | list:
     """Jointly optimize UAV position and relative powers (dim K + 2).
 
     The first particle starts at the default position with equal powers. A
     list ``seed`` steps one swarm per element in lockstep and returns a
     list, so a list of entropy for one swarm must be wrapped as
-    ``SeedSequence([...])`` (see :func:`_solve`).
+    ``SeedSequence([...])``; ``rlz`` may be a list of one realization per
+    seed (see :func:`_solve`).
     """
-    k = rlz.num_users
-    box = rlz.scenario.box
+    lead = _lead(rlz)
+    k = lead.num_users
+    box = lead.scenario.box
 
     def decode(coords):
         return box.from_unit(coords[..., :2]), coords[..., 2:] ** 2
 
-    warm = np.concatenate([box.to_unit(rlz.default_xy), np.ones(k)])
+    warm = np.concatenate([box.to_unit(lead.default_xy), np.ones(k)])
     return _solve(rlz, cfg, p_t_mw, sigma2_mw, seed, objective, k + 2, warm,
                   decode)
 

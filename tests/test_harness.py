@@ -8,7 +8,7 @@ import pytest
 
 from uavlink import cli, harness, learn, links, pso, relay
 from uavlink.beamforming import OverlappingSupports
-from uavlink.geometry import dbm_to_mw, noise_power
+from uavlink.geometry import Scenario, dbm_to_mw, noise_power, place_users
 from uavlink.harness import (ExperimentSpec, config_hash, run, spec_from_dict,
                              spec_to_dict)
 from uavlink.pso import PsoConfig
@@ -253,6 +253,23 @@ def test_run_records_match_self_designed_realizations(monkeypatch):
     assert shared == own
 
 
+# nearby geometric group supports may share cells at 4x4
+@pytest.mark.filterwarnings("ignore::uavlink.beamforming.OverlappingSupports")
+def test_geometric_run_with_configured_users_shares_one_design(
+        monkeypatch, rf_design_calls):
+    # configured users fix the geometric supports for every realization
+    users = place_users(np.random.default_rng(4), 4, (50.0, 100.0))
+    spec = _small_spec(realizations=5, angle_model="geometric",
+                       scenario=Scenario(users=users),
+                       schemes=["fl_eqpa", "psopa_fl", "psolpa"])
+    _, shared = run(spec)
+    assert len(rf_design_calls) == 1
+    monkeypatch.setattr(harness, "shared_rf", lambda scenario, model: None)
+    _, own = run(spec)
+    assert len(rf_design_calls) == 1 + spec.realizations
+    assert shared == own
+
+
 def test_run_reads_a_rewritten_model_file(tmp_path):
     path, other = tmp_path / "model.npz", tmp_path / "other.npz"
     spec = _small_spec(schemes=["dnn"], model_path=str(path))
@@ -424,6 +441,18 @@ def test_cli_rejects_a_misspelled_dnn_field(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "ValueError",
                    "message": "unknown config field dnn.hiden_layers"}
+
+
+@pytest.mark.parametrize("command", [
+    ["run"], ["train", "--dataset", "rows.jsonl"]], ids=["run", "train"])
+def test_cli_names_a_config_that_is_not_json(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad")
+    code = cli.main(command + ["--config", str(bad)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(f"config {bad} is not valid JSON: ")
 
 
 def test_cli_train_needs_enough_rows(tmp_path, capsys):

@@ -262,18 +262,21 @@ def test_dataset_rows_survive_a_crash(tmp_path, desk_scenario, monkeypatch):
     whole = str(tmp_path / "whole.jsonl")
     generate_dataset(desk_scenario, 4, 5, whole, pso_cfg=cfg)
     path = str(tmp_path / "rows.jsonl")
-    row = learn._dataset_row
+    block = learn._dataset_block
 
-    def crash_at_two(*args):
-        if args[-1] == 2:
+    def crash_in_second_block(*args):
+        if 2 in args[-1]:
             raise RuntimeError("killed")
-        return row(*args)
+        return block(*args)
 
-    monkeypatch.setattr(learn, "_dataset_row", crash_at_two)
+    # 4 rows make the blocks 0-1 and 2-3
+    monkeypatch.setattr(learn, "_BLOCK_ROWS", 2)
+    monkeypatch.setattr(learn, "_dataset_block", crash_in_second_block)
     with pytest.raises(RuntimeError, match="killed"):
         generate_dataset(desk_scenario, 4, 5, path, pso_cfg=cfg)
-    assert open(path).read().splitlines() == \
-        open(whole).read().splitlines()[:2]
+    # the whole first block is on disk, a byte-equal prefix of a clean run
+    assert open(path).read() == "".join(
+        open(whole).read().splitlines(keepends=True)[:2])
     monkeypatch.undo()
     generate_dataset(desk_scenario, 4, 5, path, pso_cfg=cfg)
     assert open(path).read() == open(whole).read()
@@ -303,7 +306,8 @@ def test_dataset_resume_refuses_a_missing_index_before_computing(
     rows = open(path).read()
     meta = open(path + ".meta.json").read()
     computed = []
-    monkeypatch.setattr(learn, "_dataset_row",
+    monkeypatch.setattr(learn, "_BLOCK_ROWS", 2)
+    monkeypatch.setattr(learn, "_dataset_block",
                         lambda *args: computed.append(args[-1]))
     with pytest.raises(ValueError, match="row index 1 is missing"):
         generate_dataset(desk_scenario, 4, 1, path, pso_cfg=cfg)
@@ -343,6 +347,18 @@ def test_dataset_rows_independent_of_batching(tmp_path, desk_scenario):
     generate_dataset(desk_scenario, 1, 77, two, pso_cfg=cfg)
     generate_dataset(desk_scenario, 3, 77, two, pso_cfg=cfg)
     assert open(one).read() == open(two).read()
+
+
+def test_dataset_bytes_independent_of_workers(tmp_path, desk_scenario,
+                                             monkeypatch):
+    cfg = PsoConfig(particles=4, iterations=3)
+    monkeypatch.setattr(learn, "_BLOCK_ROWS", 2)    # 5 rows in 3 blocks
+    one = str(tmp_path / "one.jsonl")
+    two = str(tmp_path / "two.jsonl")
+    generate_dataset(desk_scenario, 5, 8, one, pso_cfg=cfg)
+    generate_dataset(desk_scenario, 5, 8, two, pso_cfg=cfg, workers=2)
+    assert open(one).read() == open(two).read()
+    assert open(one + ".meta.json").read() == open(two + ".meta.json").read()
 
 
 def test_model_round_trip(tmp_path):

@@ -10,7 +10,7 @@ from uavlink.geometry import (OutOfBox, Position3D, Scenario, dbm_to_mw,
                               noise_power)
 from uavlink.harness import ExperimentSpec, paper_scale_spec, realization
 from uavlink.links import (Realization, design_rf_stages, make_realization,
-                           shared_rf)
+                           shared_rf, stack_realizations)
 
 
 @pytest.mark.parametrize("scenario", [
@@ -192,3 +192,54 @@ def test_per_candidate_budget_needs_one_per_row(desk_realization,
     xys = np.array([[40.0, 60.0], [50.0, 50.0]])
     with pytest.raises(ValueError, match="one value or \\(n,\\)"):
         desk_realization.evaluate_batch(xys, np.ones(3), desk_sigma2)
+
+
+@pytest.mark.parametrize("case", ["desk", "paper_scale", "geometric"])
+@pytest.mark.parametrize("shared", [False, True],
+                         ids=["per_candidate", "shared"])
+def test_stacked_evaluation_equals_each_realization(stack_members, case,
+                                                     shared):
+    members = stack_members(case)
+    if case == "geometric":
+        assert len({int(rlz.rf.f_ut.shape[1]) for rlz in members}) > 1
+    stack = stack_realizations(members)
+    scenario = members[0].scenario
+    sigma2 = dbm_to_mw(noise_power(scenario))
+    rng = np.random.default_rng(2)
+    index = rng.integers(0, len(members), size=23)
+    xys = rng.uniform(5.0, 95.0, size=(index.size, 2))
+    k = scenario.num_users
+    if shared:
+        p_t, p_hat = dbm_to_mw(20.0), rng.uniform(0.05, 2.0, size=k)
+    else:
+        p_t = dbm_to_mw(rng.choice([0.0, 20.0, 40.0], size=index.size))
+        p_hat = rng.uniform(0.05, 2.0, size=(index.size, k))
+    batch = stack.evaluate_batch(xys, p_t, sigma2, p_hat, index)
+    for r, rlz in enumerate(members):
+        rows = index == r
+        single = rlz.evaluate_batch(xys[rows], p_t if shared else p_t[rows],
+                                    sigma2, p_hat if shared else p_hat[rows])
+        for name in ("r1", "r2", "r_total", "sinr", "alloc_mw"):
+            assert np.array_equal(getattr(batch, name)[rows],
+                                  getattr(single, name)), name
+
+
+def test_stack_refuses_realizations_of_two_scenarios(desk_realization):
+    other = make_realization(Scenario(bs_array=(3, 3)), 1)
+    with pytest.raises(ValueError, match="different scenarios: realization "
+                       r"1 differs from realization 0 in scenario\.bs_array"):
+        stack_realizations([desk_realization, other])
+
+
+def test_stack_evaluates_batches_only(desk_realization, p20_mw, desk_sigma2):
+    stack = stack_realizations([desk_realization, desk_realization])
+    xy = desk_realization.default_xy
+    for call in (lambda: stack.stages_at(xy, p20_mw, desk_sigma2),
+                 lambda: stack.rate_at(xy, p20_mw, desk_sigma2),
+                 lambda: stack.channel_pair_at(xy)):
+        with pytest.raises(ValueError, match="not a stack of 2"):
+            call()
+    xys = np.array([xy, xy])
+    for index in ([0, 2], [0, -1], [0], [0.0, 1.0]):
+        with pytest.raises(ValueError, match="realization index"):
+            stack.evaluate_batch(xys, p20_mw, desk_sigma2, index=index)

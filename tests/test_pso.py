@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uavlink import pso
-from uavlink.geometry import Box, dbm_to_mw
+from uavlink.geometry import Box, dbm_to_mw, noise_power
 from uavlink.pso import PsoConfig, clip, exhaustive_grid, run_pso
 
 
@@ -181,9 +181,11 @@ POWERS_DBM = (0.0, 20.0, 40.0, 10.0)
 
 
 def _solver_calls(rlz):
+    """The three solvers on ``rlz``, a realization or a list of them."""
+    xy = (rlz[0] if isinstance(rlz, list) else rlz).default_xy
     return {
         "pa": lambda cfg, p, s2, seed, obj: pso.solve_pa_fixed_loc(
-            rlz, rlz.default_xy, cfg, p, s2, seed, obj),
+            rlz, xy, cfg, p, s2, seed, obj),
         "loc": lambda cfg, p, s2, seed, obj: pso.solve_loc_equal_pa(
             rlz, cfg, p, s2, seed, obj),
         "joint": lambda cfg, p, s2, seed, obj: pso.solve_joint(
@@ -217,6 +219,27 @@ def test_stacked_solve_equals_single_solves(desk_realization, desk_sigma2,
         assert any(sol.infeasible > 0 for sol in stacked)
 
 
+@pytest.mark.parametrize("case", ["desk", "paper_scale", "geometric"])
+@pytest.mark.parametrize("solver", ["pa", "loc", "joint"])
+def test_solve_over_realizations_equals_lone_solves(stack_members, case,
+                                                    solver):
+    members = stack_members(case)
+    sigma2 = dbm_to_mw(noise_power(members[0].scenario))
+    p_t = [dbm_to_mw(p) for p in (0.0, 20.0, 40.0, 10.0, 30.0, 20.0)]
+    seeds = [np.random.SeedSequence([9, i]) for i in range(len(members))]
+    objectives = ["r_total", "r1", "r2"] * 2
+    cfg = BOUNCING if case == "desk" else SMALL
+    stacked = _solver_calls(members)[solver](cfg, p_t, sigma2, seeds,
+                                             objectives)
+    assert isinstance(stacked, list) and len(stacked) == len(members)
+    for sol, rlz, p, seed, obj in zip(stacked, members, p_t, seeds,
+                                      objectives):
+        _same_result(sol, _solver_calls(rlz)[solver](cfg, p, sigma2, seed,
+                                                     obj))
+    if cfg is BOUNCING and solver != "loc":
+        assert any(sol.infeasible > 0 for sol in stacked)
+
+
 def test_stacked_solve_shares_one_power_and_objective(desk_realization,
                                                       desk_sigma2, p20_mw):
     seeds = [3, 4]
@@ -246,6 +269,12 @@ def test_stacked_solve_rejects_mismatched_lists(desk_realization,
     with pytest.raises(ValueError, match="objective gives 1 values for 2"):
         pso.solve_loc_equal_pa(desk_realization, SMALL, p20_mw, desk_sigma2,
                                [1, 2], ["r1"])
+    pair = [desk_realization, desk_realization]
+    with pytest.raises(ValueError, match="rlz gives 2 realizations for 3"):
+        pso.solve_joint(pair, SMALL, p20_mw, desk_sigma2, [1, 2, 3])
+    with pytest.raises(ValueError, match="list of realizations needs a list"):
+        pso.solve_pa_fixed_loc(pair[:1], desk_realization.default_xy, SMALL,
+                               p20_mw, desk_sigma2, 1)
 
 
 def test_run_swarms_records_infeasible():
