@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import time
@@ -329,21 +330,29 @@ def run_delay(spec: ExperimentSpec, queue_bits: list[float],
               out_path: str | None = None) -> list[dict]:
     """Average Little's-law delay, bufferless vs buffered, per power point.
 
-    Both policy searches on a realization share one seed, so the buffered
-    delay never exceeds the bufferless one on any realization.
+    One search yields both policies: per realization, one
+    ``relay.optimize_policy`` call steps every power's searches in lockstep
+    (one seed per power), and each buffered policy carries the bufferless
+    optimum it dominates, so the buffered delay never exceeds the
+    bufferless one on any realization. ``queue_bits`` is refused, before
+    any realization is drawn, when empty, repeated, negative or not finite.
     """
+    _check_queue_bits(queue_bits)
     sigma2_mw = dbm_to_mw(noise_power(spec.scenario))
+    p_t_mw = [dbm_to_mw(p_t) for p_t in spec.p_t_dbm]
     rf = shared_rf(spec.scenario, spec.angle_model)
     delays = {}     # (mode, power index, queue bits) -> one per realization
     for i in range(spec.realizations):
         rlz = realization(spec, i, rf)
-        for pt_index, p_t in enumerate(spec.p_t_dbm):
-            p_t_mw = dbm_to_mw(p_t)
-            for mode in ("without_buffer", "with_buffer"):
-                policy = relay.optimize_policy(
-                    rlz, spec.pso, p_t_mw, sigma2_mw,
-                    [int(spec.seed), i, 101, pt_index], mode=mode)
-                rep = relay.buffered_rate(rlz, policy, p_t_mw, sigma2_mw)
+        seeds = [np.random.SeedSequence([int(spec.seed), i, 101, pt_index])
+                 for pt_index in range(len(p_t_mw))]
+        buffered = relay.optimize_policy(rlz, spec.pso, p_t_mw, sigma2_mw,
+                                         seeds)
+        for pt_index, policy in enumerate(buffered):
+            for mode, pol in (("without_buffer", policy.bufferless()),
+                              ("with_buffer", policy)):
+                rep = relay.buffered_rate(rlz, pol, p_t_mw[pt_index],
+                                          sigma2_mw)
                 for q in queue_bits:
                     delays.setdefault((mode, pt_index, q), []).append(
                         relay.little_delay(rep.r1, rep.r2, q))
@@ -361,6 +370,17 @@ def run_delay(spec: ExperimentSpec, queue_bits: list[float],
                                  _fmt(row["delay_fixed"]),
                                  _fmt(row["delay_buffered"])])
     return rows
+
+
+def _check_queue_bits(queue_bits: list[float]) -> None:
+    if not queue_bits:
+        raise ValueError("queue_bits needs at least one queue size")
+    if len(set(queue_bits)) != len(queue_bits):
+        raise ValueError("queue_bits lists a queue size twice")
+    for q in queue_bits:
+        if not (math.isfinite(q) and q >= 0.0):
+            raise ValueError(
+                f"queue_bits must be finite and nonnegative, got {q!r}")
 
 
 # --- configuration boundary ------------------------------------------------------

@@ -5,6 +5,10 @@ end-to-end rate is pinned by the weaker hop there. A buffer decouples the
 hops: the UAV can drain the first hop from a position favouring the BS link
 and flush the queue from one favouring the users. Average queueing delay
 follows Little's law on the bottleneck rate.
+
+The buffered search contains the bufferless one: its policy keeps the
+bufferless optimum as a fallback on each hop and records it, so one search
+yields both policies.
 """
 
 from __future__ import annotations
@@ -22,23 +26,41 @@ class ZeroRate(ValueError):
     """Delay requested for a link pair with no throughput."""
 
 
+MODES = ("with_buffer", "without_buffer")
+
+
 @dataclass
 class BufferPolicy:
-    """Operating positions for the two hops; equal positions mean no buffer."""
+    """Operating positions for the two hops; equal positions mean no buffer.
+
+    ``base_xy`` is the bufferless optimum a searched policy was built to
+    dominate (None for a policy built by hand).
+    """
 
     loc_rx: np.ndarray
     loc_tx: np.ndarray
     mode: str = "with_buffer"
     p_hat: np.ndarray | None = None
+    base_xy: np.ndarray | None = None
 
     def __post_init__(self):
         self.loc_rx = np.asarray(self.loc_rx, dtype=float)
         self.loc_tx = np.asarray(self.loc_tx, dtype=float)
-        if self.mode not in ("with_buffer", "without_buffer"):
+        if self.base_xy is not None:
+            self.base_xy = np.asarray(self.base_xy, dtype=float)
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "without_buffer" and not np.array_equal(
                 self.loc_rx, self.loc_tx):
             raise ValueError("bufferless policy needs a single position")
+
+    def bufferless(self) -> BufferPolicy:
+        """The bufferless policy at ``base_xy``: what ``optimize_policy``
+        returns with ``mode="without_buffer"`` on the same seed."""
+        if self.base_xy is None:
+            raise ValueError("policy records no bufferless optimum")
+        return BufferPolicy(loc_rx=self.base_xy, loc_tx=self.base_xy,
+                            mode="without_buffer", base_xy=self.base_xy)
 
 
 def buffered_rate(rlz: Realization, policy: BufferPolicy, p_t_mw: float,
@@ -56,33 +78,67 @@ def buffered_rate(rlz: Realization, policy: BufferPolicy, p_t_mw: float,
                       sinr=tx_report.sinr)
 
 
-def optimize_policy(rlz: Realization, cfg: pso.PsoConfig, p_t_mw: float,
+def optimize_policy(rlz: Realization, cfg: pso.PsoConfig, p_t_mw,
                     sigma2_mw: float, seed, mode: str = "with_buffer",
-                    optimize_pa: bool = False) -> BufferPolicy:
+                    optimize_pa: bool = False
+                    ) -> BufferPolicy | list[BufferPolicy]:
     """Best operating positions for the chosen mode.
 
-    The buffered policy always includes the bufferless optimum among its
-    per-hop candidates, so on any one realization the buffered rate is
-    never below the bufferless one.
+    Each seed spawns three streams: the bufferless search (position under
+    equal powers, for the end-to-end rate), then one search per hop. The
+    buffered policy keeps the bufferless optimum among its per-hop
+    candidates and records it as ``base_xy``, so on any one realization
+    its rate is never below the bufferless one, and one buffered search
+    yields both policies (:meth:`BufferPolicy.bufferless`).
+
+    A list ``seed`` gives one seed per power and returns one policy per
+    power; ``p_t_mw`` is then one budget or one per power, and the searches
+    of every power step in lockstep in one stacked solve (two with
+    ``optimize_pa``, whose second-hop search is joint). Any other seed
+    solves the single budget ``p_t_mw`` and returns one policy.
     """
-    seq = np.random.SeedSequence(seed) if not isinstance(
-        seed, np.random.SeedSequence) else seed
-    seeds = seq.spawn(3)
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    seeds = seed if isinstance(seed, list) else [seed]
+    n = len(seeds)
+    powers = list(p_t_mw) if np.ndim(p_t_mw) else [p_t_mw] * n
+    if len(powers) != n:
+        raise ValueError(f"p_t_mw gives {len(powers)} budgets for {n} seeds")
+    streams = [(s if isinstance(s, np.random.SeedSequence)
+                else np.random.SeedSequence(s)).spawn(3) for s in seeds]
+
+    def budget(searches: int):
+        # one budget serves every swarm; per-power budgets repeat per search
+        return p_t_mw if not np.ndim(p_t_mw) else np.repeat(powers, searches)
+
     if mode == "without_buffer":
-        base = pso.solve_loc_equal_pa(rlz, cfg, p_t_mw, sigma2_mw, seeds[0])
-        return BufferPolicy(loc_rx=base.xy, loc_tx=base.xy, mode=mode)
-
-    # the independent location searches step in lockstep, one swarm each
-    if optimize_pa:
-        base, rx = pso.solve_loc_equal_pa(rlz, cfg, p_t_mw, sigma2_mw,
-                                          seeds[:2], ["r_total", "r1"])
-        tx = pso.solve_joint(rlz, cfg, p_t_mw, sigma2_mw, seeds[2],
-                             objective="r2")
+        bases = pso.solve_loc_equal_pa(rlz, cfg, budget(1), sigma2_mw,
+                                       [s[0] for s in streams])
+        policies = [BufferPolicy(loc_rx=b.xy, loc_tx=b.xy, mode=mode,
+                                 base_xy=b.xy) for b in bases]
     else:
-        base, rx, tx = pso.solve_loc_equal_pa(rlz, cfg, p_t_mw, sigma2_mw,
-                                              seeds, ["r_total", "r1", "r2"])
+        if optimize_pa:
+            loc = pso.solve_loc_equal_pa(rlz, cfg, budget(2), sigma2_mw,
+                                         [q for s in streams for q in s[:2]],
+                                         ["r_total", "r1"] * n)
+            tx = pso.solve_joint(rlz, cfg, budget(1), sigma2_mw,
+                                 [s[2] for s in streams], objective="r2")
+            found = zip(loc[0::2], loc[1::2], tx)
+        else:
+            loc = pso.solve_loc_equal_pa(rlz, cfg, budget(3), sigma2_mw,
+                                         [q for s in streams for q in s],
+                                         ["r_total", "r1", "r2"] * n)
+            found = zip(loc[0::3], loc[1::3], loc[2::3])
+        policies = [_buffered(rlz, p, sigma2_mw, *searches)
+                    for p, searches in zip(powers, found)]
+    return policies if isinstance(seed, list) else policies[0]
 
-    # keep the bufferless optimum as a fallback candidate on each hop
+
+def _buffered(rlz: Realization, p_t_mw: float, sigma2_mw: float,
+              base: pso.SolveResult, rx: pso.SolveResult,
+              tx: pso.SolveResult) -> BufferPolicy:
+    """The buffered policy at one power from its three searches; each hop
+    falls back to the bufferless optimum where its own search did worse."""
     base_report = rlz.rate_at(base.xy, p_t_mw, sigma2_mw)
     rx_r1 = rlz.rate_at(rx.xy, p_t_mw, sigma2_mw).r1
     loc_rx = rx.xy if rx_r1 >= base_report.r1 else base.xy
@@ -91,7 +147,8 @@ def optimize_policy(rlz: Realization, cfg: pso.PsoConfig, p_t_mw: float,
         loc_tx, p_hat = tx.xy, tx.p_hat
     else:
         loc_tx, p_hat = base.xy, None
-    return BufferPolicy(loc_rx=loc_rx, loc_tx=loc_tx, mode=mode, p_hat=p_hat)
+    return BufferPolicy(loc_rx=loc_rx, loc_tx=loc_tx, p_hat=p_hat,
+                        base_xy=base.xy)
 
 
 def little_delay(r1: float, r2: float, queue_bits: float) -> float:

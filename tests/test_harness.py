@@ -187,22 +187,66 @@ def test_run_delay_rows(tmp_path):
 
 
 def test_run_delay_pairs_the_policy_seeds():
-    # the buffered search runs on the bufferless search's seed, so its
-    # column is reproducible from that seed alone
+    # both columns are reproducible from the per-power seed alone: the
+    # bufferless one by a bufferless search, the buffered one by a
+    # buffered search
     spec = _small_spec(p_t_dbm=[0.0, 20.0], realizations=2)
     rows = harness.run_delay(spec, [2.0])
     sigma2_mw = dbm_to_mw(noise_power(spec.scenario))
     for pt_index, row in enumerate(rows):
         p_t_mw = dbm_to_mw(row["p_t_dbm"])
-        delays = []
-        for i in range(spec.realizations):
-            rlz = harness.realization(spec, i)
-            seed = np.random.SeedSequence([spec.seed, i, 101, pt_index])
-            policy = relay.optimize_policy(rlz, spec.pso, p_t_mw, sigma2_mw,
-                                           seed, mode="with_buffer")
-            rep = relay.buffered_rate(rlz, policy, p_t_mw, sigma2_mw)
-            delays.append(relay.little_delay(rep.r1, rep.r2, 2.0))
-        assert row["delay_buffered"] == float(np.mean(delays))
+        for column, mode in (("delay_fixed", "without_buffer"),
+                             ("delay_buffered", "with_buffer")):
+            delays = []
+            for i in range(spec.realizations):
+                rlz = harness.realization(spec, i)
+                seed = np.random.SeedSequence([spec.seed, i, 101, pt_index])
+                policy = relay.optimize_policy(rlz, spec.pso, p_t_mw,
+                                               sigma2_mw, seed, mode=mode)
+                rep = relay.buffered_rate(rlz, policy, p_t_mw, sigma2_mw)
+                delays.append(relay.little_delay(rep.r1, rep.r2, 2.0))
+            assert row[column] == float(np.mean(delays))
+
+
+def test_run_delay_makes_one_stacked_search_per_realization(monkeypatch):
+    spec = _small_spec(p_t_dbm=[0.0, 20.0, 40.0], realizations=2)
+    policy_calls, solves = [], []
+    optimize, solve = relay.optimize_policy, pso.solve_loc_equal_pa
+
+    def counted_policy(*args, **kwargs):
+        policy_calls.append(kwargs.get("mode", "with_buffer"))
+        return optimize(*args, **kwargs)
+
+    def counted_solve(*args, **kwargs):
+        solves.append(len(args[4]))
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(relay, "optimize_policy", counted_policy)
+    monkeypatch.setattr(pso, "solve_loc_equal_pa", counted_solve)
+    # without optimize_pa the buffered search makes no joint solve
+    monkeypatch.setattr(pso, "solve_joint", None)
+    harness.run_delay(spec, [2.0, 8.0])
+    # per realization: one buffered call, three swarms per power
+    assert policy_calls == ["with_buffer"] * spec.realizations
+    assert solves == [3 * len(spec.p_t_dbm)] * spec.realizations
+
+
+@pytest.mark.parametrize("queue_bits, message", [
+    ([], "queue_bits needs at least one queue size"),
+    ([2.0, 8.0, 2.0], "queue_bits lists a queue size twice"),
+    ([2.0, -1.0], "queue_bits must be finite and nonnegative, got -1.0"),
+    ([float("nan")], "queue_bits must be finite and nonnegative, got nan"),
+    ([float("inf")], "queue_bits must be finite and nonnegative, got inf"),
+])
+def test_run_delay_rejects_bad_queue_bits(monkeypatch, tmp_path, queue_bits,
+                                          message):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a realization was drawn")
+    monkeypatch.setattr(harness, "realization", no_draw)
+    path = tmp_path / "delay.csv"
+    with pytest.raises(ValueError) as err:
+        harness.run_delay(_small_spec(), queue_bits, str(path))
+    assert str(err.value) == message
+    assert not path.exists()
 
 
 # --- shared RF design -------------------------------------------------------------
@@ -384,8 +428,26 @@ def test_cli_delay_writes_csv(tmp_path, capsys):
     code = cli.main(["delay", "--config", cfg, "--out", out,
                      "--queue-bits", "2", "4"])
     assert code == 0
-    assert len(open(out).read().splitlines()) == 3
-    assert "buffered" in capsys.readouterr().out
+    lines = open(out).read().splitlines()
+    assert lines[0] == "p_t_dbm,queue_bits,delay_fixed,delay_buffered"
+    assert len(lines) == 3
+    # one printed line per CSV row (one power, two queue sizes)
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in printed] == [
+        "P_T 20.0 dBm, Q 2.0 bits", "P_T 20.0 dBm, Q 4.0 bits"]
+    assert all("buffered" in line for line in printed)
+
+
+def test_cli_delay_rejects_a_negative_queue_size(tmp_path, capsys):
+    cfg = _write_fast_config(tmp_path)
+    out = tmp_path / "delay.csv"
+    code = cli.main(["delay", "--config", cfg, "--out", str(out),
+                     "--queue-bits", "-1"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message":
+                   "queue_bits must be finite and nonnegative, got -1.0"}
+    assert not out.exists()
 
 
 def test_cli_reports_errors_as_json(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from uavlink import pso
+from uavlink.geometry import dbm_to_mw
 from uavlink.links import make_realization
 from uavlink.pso import PsoConfig
 from uavlink.relay import (BufferPolicy, ZeroRate, buffered_rate,
@@ -101,3 +102,58 @@ def test_buffered_policy_stacks_its_three_searches(desk_realization, p20_mw,
     assert np.array_equal(stacked.loc_rx, lone.loc_rx)
     assert np.array_equal(stacked.loc_tx, lone.loc_tx)
     assert stacked.p_hat is None and lone.p_hat is None
+
+
+def _same_policy(a, b):
+    assert a.mode == b.mode
+    for name in ("loc_rx", "loc_tx", "p_hat", "base_xy"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None and y is None) or np.array_equal(x, y), name
+
+
+@pytest.mark.parametrize("mode", ["with_buffer", "without_buffer"])
+@pytest.mark.parametrize("optimize_pa", [False, True])
+def test_power_list_equals_per_power_calls(desk_realization, desk_sigma2,
+                                           optimize_pa, mode):
+    rlz = desk_realization
+    p_t_mw = [dbm_to_mw(p) for p in (0.0, 20.0, 40.0)]
+    seeds = [np.random.SeedSequence([5, j]) for j in range(len(p_t_mw))]
+    stacked = optimize_policy(rlz, CFG, p_t_mw, desk_sigma2, seeds,
+                              mode=mode, optimize_pa=optimize_pa)
+    assert len(stacked) == len(p_t_mw)
+    for j, policy in enumerate(stacked):
+        lone = optimize_policy(rlz, CFG, p_t_mw[j], desk_sigma2,
+                               np.random.SeedSequence([5, j]), mode=mode,
+                               optimize_pa=optimize_pa)
+        _same_policy(policy, lone)
+
+
+def test_one_budget_serves_every_seed(desk_realization, p20_mw,
+                                      desk_sigma2):
+    rlz = desk_realization
+    shared = optimize_policy(rlz, CFG, p20_mw, desk_sigma2, [3, 4])
+    each = optimize_policy(rlz, CFG, [p20_mw, p20_mw], desk_sigma2, [3, 4])
+    for a, b in zip(shared, each):
+        _same_policy(a, b)
+
+
+@pytest.mark.parametrize("optimize_pa", [False, True])
+def test_bufferless_policy_comes_from_the_buffered_search(
+        desk_realization, p20_mw, desk_sigma2, optimize_pa):
+    rlz = desk_realization
+    buffered = optimize_policy(rlz, CFG, p20_mw, desk_sigma2, seed=5,
+                               optimize_pa=optimize_pa)
+    plain = optimize_policy(rlz, CFG, p20_mw, desk_sigma2, seed=5,
+                            mode="without_buffer")
+    _same_policy(buffered.bufferless(), plain)
+
+
+def test_policy_arguments_are_checked(desk_realization, p20_mw, desk_sigma2):
+    with pytest.raises(ValueError, match="records no bufferless optimum"):
+        BufferPolicy(loc_rx=[10.0, 10.0], loc_tx=[20.0, 20.0]).bufferless()
+    with pytest.raises(ValueError, match="2 budgets for 3 seeds"):
+        optimize_policy(desk_realization, CFG, [p20_mw, p20_mw], desk_sigma2,
+                        [1, 2, 3])
+    with pytest.raises(ValueError, match="unknown mode"):
+        optimize_policy(desk_realization, CFG, p20_mw, desk_sigma2, 1,
+                        mode="queued")
