@@ -77,13 +77,13 @@ def cell_index(u, n: int) -> np.ndarray:
 
 def support_image(support: AngularSupport, samples: int = 200
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (u, v) sampling of the support rectangle."""
+    """Dense (u, v) sampling of the support rectangle: the ``samples`` x
+    ``samples`` (elevation, azimuth) grid, evaluated by broadcasting."""
     elo, ehi = support.elev_interval
     alo, ahi = support.azim_interval
     elev = np.linspace(elo, ehi, samples)
     azim = np.linspace(alo, ahi, samples)
-    ee, aa = np.meshgrid(elev, azim, indexing="ij")
-    return direction_cosines(ee.ravel(), aa.ravel())
+    return direction_cosines(elev[:, None], azim[None, :])
 
 
 def select_pairs(support: AngularSupport, nx: int, ny: int,
@@ -91,35 +91,35 @@ def select_pairs(support: AngularSupport, nx: int, ny: int,
                  samples: int = 200) -> list[QuantizedPair]:
     """Grid cells whose (lx, ly) cell touches the support image.
 
-    ``budget`` caps the pair count, ``minimum`` floors it; both keep or add
-    the cells nearest the support-center image (ties broken on (n, k)).
-    Returned pairs are sorted by (n, k).
+    Each sample of :func:`support_image` marks its cell on an occupancy
+    grid. ``budget`` caps the pair count, ``minimum`` floors it; both keep
+    or add the cells nearest the support-center image (ties broken on
+    (n, k)). Returned pairs are sorted by (n, k).
     """
     u, v = support_image(support, samples)
     if u.size == 0:
         raise EmptySupport("support produced no sample points")
-    xi = cell_index(u, nx)
-    yi = cell_index(v, ny)
-    keys = np.unique(xi.astype(np.int64) * (ny + 1) + yi)
-    if keys.size == 0:
-        raise EmptySupport("support image touches no grid cell")
+    touched = np.zeros((nx + 1) * (ny + 1), dtype=bool)
+    # 50-row blocks keep temporaries below glibc's 128 KB mmap threshold
+    for r in range(0, len(u), 50):
+        keys = cell_index(u[r:r + 50], nx)
+        keys *= ny + 1
+        keys += cell_index(v[r:r + 50], ny)
+        touched[keys] = True
     lx_all = grid_cosines(nx)
     ly_all = grid_cosines(ny)
-    selected = {(int(key // (ny + 1)), int(key % (ny + 1))) for key in keys}
-
     uc, vc = direction_cosines(support.mean_elev, support.mean_azim)
 
-    def image_dist(nk):
-        n, k = nk
-        return math.hypot(lx_all[n - 1] - uc, ly_all[k - 1] - vc)
+    def nearest_first(cells) -> list[tuple[int, int]]:
+        return sorted(cells, key=lambda nk: (math.hypot(
+            lx_all[nk[0] - 1] - uc, ly_all[nk[1] - 1] - vc), nk))
 
-    chosen = sorted(selected, key=lambda nk: (image_dist(nk), nk))
-    if budget is not None and len(chosen) > budget:
-        chosen = chosen[:budget]
+    chosen = nearest_first(divmod(key, ny + 1)
+                           for key in np.flatnonzero(touched).tolist())[:budget]
     if minimum is not None and len(chosen) < minimum:
-        pool = [(n, k) for n in range(1, nx + 1) for k in range(1, ny + 1)
-                if (n, k) not in set(chosen)]
-        pool.sort(key=lambda nk: (image_dist(nk), nk))
+        taken = set(chosen)
+        pool = nearest_first((n, k) for n in range(1, nx + 1)
+                             for k in range(1, ny + 1) if (n, k) not in taken)
         chosen.extend(pool[:minimum - len(chosen)])
         if len(chosen) < minimum:
             raise EmptySupport(

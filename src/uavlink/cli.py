@@ -65,6 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_delay.add_argument("--out", default="delay.csv")
     p_delay.add_argument("--queue-bits", type=float, nargs="+",
                          default=[1.0, 2.0, 4.0, 8.0])
+    p_delay.add_argument("--workers", type=int, help="parallel workers")
     p_delay.add_argument("--realizations", type=int)
     return parser
 

@@ -58,6 +58,9 @@ class ExperimentSpec:
             raise ValueError("experiment.schemes lists a scheme twice")
         if not self.p_t_dbm:
             raise ValueError("experiment.p_t_dbm needs at least one power")
+        if not all(math.isfinite(p_t) for p_t in self.p_t_dbm):
+            raise ValueError(
+                f"experiment.p_t_dbm must be finite, got {self.p_t_dbm}")
         if len(set(self.p_t_dbm)) != len(self.p_t_dbm):
             raise ValueError("experiment.p_t_dbm lists a power twice")
         if self.realizations < 1:
@@ -167,6 +170,17 @@ def _realization_rows(spec: ExperimentSpec, index: int, rf: RfDesign | None,
     return rows
 
 
+def _per_realization(spec: ExperimentSpec, fn, *args) -> list:
+    """``fn(spec, i, *args)`` for every realization index i, in index order,
+    spread over ``spec.workers`` processes when there are several."""
+    calls = [(spec, i) + args for i in range(spec.realizations)]
+    if spec.workers == 1:
+        return [fn(*call) for call in calls]
+    import multiprocessing as mp
+    with mp.Pool(spec.workers) as pool:
+        return pool.starmap(fn, calls, chunksize=1)
+
+
 def run(spec: ExperimentSpec, out_dir: str | None = None
         ) -> tuple[list[ResultRow], list[dict]]:
     """Execute the full experiment; optionally write CSVs and a manifest."""
@@ -175,13 +189,7 @@ def run(spec: ExperimentSpec, out_dir: str | None = None
     # loaded here, once per run, so a rewritten file is never served stale
     model = (learn.load_model(spec.model_path) if "dnn" in spec.schemes
              else None)
-    args = [(spec, i, rf, model) for i in range(spec.realizations)]
-    if spec.workers > 1:
-        import multiprocessing as mp
-        with mp.Pool(spec.workers) as pool:
-            per_index = pool.starmap(_realization_rows, args, chunksize=1)
-    else:
-        per_index = [_realization_rows(*a) for a in args]
+    per_index = _per_realization(spec, _realization_rows, rf, model)
     records = [row for rows in per_index for row in rows]
     records.sort(key=lambda r: (r["realization"],
                                 spec.p_t_dbm.index(r["p_t_dbm"]),
@@ -294,7 +302,10 @@ def _git_describe() -> str | None:
 
 def mean_surface(spec: ExperimentSpec, p_t_dbm: float,
                  objective: str = "r_total") -> pso.GridResult:
-    """Grid surface averaged over the run's realizations."""
+    """Grid surface averaged over the run's realizations; a non-finite
+    ``p_t_dbm`` is refused before any realization is drawn."""
+    if not math.isfinite(p_t_dbm):
+        raise ValueError(f"p_t_dbm must be finite, got {p_t_dbm!r}")
     sigma2_mw = dbm_to_mw(noise_power(spec.scenario))
     p_t_mw = dbm_to_mw(p_t_dbm)
     rf = shared_rf(spec.scenario, spec.angle_model)
@@ -336,26 +347,13 @@ def run_delay(spec: ExperimentSpec, queue_bits: list[float],
     optimum it dominates, so the buffered delay never exceeds the
     bufferless one on any realization. ``queue_bits`` is refused, before
     any realization is drawn, when empty, repeated, negative or not finite.
+    Realizations spread over ``spec.workers`` processes; the means add
+    them up in index order, so the rows do not depend on the worker count.
     """
     _check_queue_bits(queue_bits)
-    sigma2_mw = dbm_to_mw(noise_power(spec.scenario))
-    p_t_mw = [dbm_to_mw(p_t) for p_t in spec.p_t_dbm]
     rf = shared_rf(spec.scenario, spec.angle_model)
-    delays = {}     # (mode, power index, queue bits) -> one per realization
-    for i in range(spec.realizations):
-        rlz = realization(spec, i, rf)
-        seeds = [np.random.SeedSequence([int(spec.seed), i, 101, pt_index])
-                 for pt_index in range(len(p_t_mw))]
-        buffered = relay.optimize_policy(rlz, spec.pso, p_t_mw, sigma2_mw,
-                                         seeds)
-        for pt_index, policy in enumerate(buffered):
-            for mode, pol in (("without_buffer", policy.bufferless()),
-                              ("with_buffer", policy)):
-                rep = relay.buffered_rate(rlz, pol, p_t_mw[pt_index],
-                                          sigma2_mw)
-                for q in queue_bits:
-                    delays.setdefault((mode, pt_index, q), []).append(
-                        relay.little_delay(rep.r1, rep.r2, q))
+    per_index = _per_realization(spec, _realization_delays, rf, queue_bits)
+    delays = {key: [d[key] for d in per_index] for key in per_index[0]}
     rows = [{"p_t_dbm": p_t, "queue_bits": q,
              "delay_fixed": float(np.mean(delays["without_buffer", pt, q])),
              "delay_buffered": float(np.mean(delays["with_buffer", pt, q]))}
@@ -370,6 +368,26 @@ def run_delay(spec: ExperimentSpec, queue_bits: list[float],
                                  _fmt(row["delay_fixed"]),
                                  _fmt(row["delay_buffered"])])
     return rows
+
+
+def _realization_delays(spec: ExperimentSpec, index: int,
+                        rf: RfDesign | None, queue_bits: list[float]) -> dict:
+    """(mode, power index, queue bits) -> delay on realization ``index``."""
+    sigma2_mw = dbm_to_mw(noise_power(spec.scenario))
+    p_t_mw = [dbm_to_mw(p_t) for p_t in spec.p_t_dbm]
+    rlz = realization(spec, index, rf)
+    seeds = [np.random.SeedSequence([int(spec.seed), index, 101, pt_index])
+             for pt_index in range(len(p_t_mw))]
+    buffered = relay.optimize_policy(rlz, spec.pso, p_t_mw, sigma2_mw, seeds)
+    delays = {}
+    for pt_index, policy in enumerate(buffered):
+        for mode, pol in (("without_buffer", policy.bufferless()),
+                          ("with_buffer", policy)):
+            rep = relay.buffered_rate(rlz, pol, p_t_mw[pt_index], sigma2_mw)
+            for q in queue_bits:
+                delays[mode, pt_index, q] = relay.little_delay(
+                    rep.r1, rep.r2, q)
+    return delays
 
 
 def _check_queue_bits(queue_bits: list[float]) -> None:

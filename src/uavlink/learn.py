@@ -387,8 +387,10 @@ def generate_dataset(scenario: Scenario, count: int, master_seed: int,
     order as soon as the block finishes, so a crash loses at most the
     blocks in flight. A sidecar .meta.json pins the configuration and the
     row count; existing rows are resumed only under the configuration it
-    records.
+    records. A non-finite ``p_t_dbm`` is refused before any file is written.
     """
+    if not math.isfinite(p_t_dbm):
+        raise ValueError(f"p_t_dbm must be finite, got {p_t_dbm!r}")
     pso_cfg = pso_cfg or pso.PsoConfig()
     p_t_mw = dbm_to_mw(p_t_dbm)
     sigma2_mw = dbm_to_mw(noise_power(scenario))

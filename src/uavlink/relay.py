@@ -85,7 +85,9 @@ def optimize_policy(rlz: Realization, cfg: pso.PsoConfig, p_t_mw,
     """Best operating positions for the chosen mode.
 
     Each seed spawns three streams: the bufferless search (position under
-    equal powers, for the end-to-end rate), then one search per hop. The
+    equal powers, for the end-to-end rate), then one search per hop; a
+    SeedSequence seed is copied first, so the caller's object is left
+    unchanged. The
     buffered policy keeps the bufferless optimum among its per-hop
     candidates and records it as ``base_xy``, so on any one realization
     its rate is never below the bufferless one, and one buffered search
@@ -104,8 +106,7 @@ def optimize_policy(rlz: Realization, cfg: pso.PsoConfig, p_t_mw,
     powers = list(p_t_mw) if np.ndim(p_t_mw) else [p_t_mw] * n
     if len(powers) != n:
         raise ValueError(f"p_t_mw gives {len(powers)} budgets for {n} seeds")
-    streams = [(s if isinstance(s, np.random.SeedSequence)
-                else np.random.SeedSequence(s)).spawn(3) for s in seeds]
+    streams = [_own_sequence(s).spawn(3) for s in seeds]
 
     def budget(searches: int):
         # one budget serves every swarm; per-power budgets repeat per search
@@ -132,6 +133,17 @@ def optimize_policy(rlz: Realization, cfg: pso.PsoConfig, p_t_mw,
         policies = [_buffered(rlz, p, sigma2_mw, *searches)
                     for p, searches in zip(powers, found)]
     return policies if isinstance(seed, list) else policies[0]
+
+
+def _own_sequence(seed) -> np.random.SeedSequence:
+    """A SeedSequence for ``seed``; a caller's SeedSequence is copied in
+    its current state, so spawning leaves it untouched and passing the
+    same object twice gives the same streams."""
+    if not isinstance(seed, np.random.SeedSequence):
+        return np.random.SeedSequence(seed)
+    return np.random.SeedSequence(
+        seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size,
+        n_children_spawned=seed.n_children_spawned)
 
 
 def _buffered(rlz: Realization, p_t_mw: float, sigma2_mw: float,

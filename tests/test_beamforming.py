@@ -1,7 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from uavlink import beamforming as bf
 from uavlink import channel as ch
@@ -9,9 +11,45 @@ from uavlink.geometry import AngularSupport, Scenario
 from uavlink.links import design_rf_stages
 
 
+def dense_image(support, samples):
+    """The support image the long way: a meshgrid of the angles, then the
+    direction cosines of the raveled grid."""
+    elo, ehi = support.elev_interval
+    alo, ahi = support.azim_interval
+    ee, aa = np.meshgrid(np.linspace(elo, ehi, samples),
+                         np.linspace(alo, ahi, samples), indexing="ij")
+    return ch.direction_cosines(ee.ravel(), aa.ravel())
+
+
+def reference_pairs(support, nx, ny, budget, minimum, samples):
+    """(n, k) of ``select_pairs`` written out densely: np.unique over the
+    hashed cell keys of every sample, then the nearest-first trim and fill
+    its docstring states. None where the grid cannot supply ``minimum``."""
+    u, v = dense_image(support, samples)
+    keys = np.unique(bf.cell_index(u, nx).astype(np.int64) * (ny + 1)
+                     + bf.cell_index(v, ny))
+    lx, ly = bf.grid_cosines(nx), bf.grid_cosines(ny)
+    uc, vc = ch.direction_cosines(support.mean_elev, support.mean_azim)
+
+    def rank(nk):
+        return math.hypot(lx[nk[0] - 1] - uc, ly[nk[1] - 1] - vc), nk
+
+    chosen = sorted([(int(key // (ny + 1)), int(key % (ny + 1)))
+                     for key in keys], key=rank)
+    if budget is not None:
+        chosen = chosen[:budget]
+    if minimum is not None and len(chosen) < minimum:
+        cells = itertools.product(range(1, nx + 1), range(1, ny + 1))
+        rest = sorted(set(cells) - set(chosen), key=rank)
+        chosen += rest[:minimum - len(chosen)]
+        if len(chosen) < minimum:
+            return None
+    return sorted(chosen)
+
+
 def rasterize_oracle(support, nx, ny, samples):
     """Independent pair count: test every cell interval against the image."""
-    u, v = bf.support_image(support, samples)
+    u, v = dense_image(support, samples)
     lx = bf.grid_cosines(nx)
     ly = bf.grid_cosines(ny)
     count = 0
@@ -53,6 +91,54 @@ def test_selected_pair_count_matches_rasterization_oracle(seed):
     nx, ny = int(rng.integers(2, 13)), int(rng.integers(2, 13))
     pairs = bf.select_pairs(sup, nx, ny, samples=100)
     assert len(pairs) == rasterize_oracle(sup, nx, ny, samples=100)
+
+
+_SPREADS = st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(0.0, 0.6))
+
+
+@st.composite
+def supports(draw):
+    """Supports anywhere inside the admissible open intervals; positions 0
+    and 1 put an edge within 1e-9 rad of the (0, pi) or (0, 2 pi) limit."""
+    spread_elev, spread_azim = draw(_SPREADS), draw(_SPREADS)
+    t_elev, t_azim = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    lo, hi = spread_elev + 1e-9, math.pi - spread_elev - 1e-9
+    mean_elev = lo + t_elev * (hi - lo)
+    lo, hi = spread_azim + 1e-9, 2.0 * math.pi - spread_azim - 1e-9
+    mean_azim = lo + t_azim * (hi - lo)
+    try:
+        return AngularSupport(mean_elev, mean_azim, spread_elev, spread_azim)
+    except ValueError:
+        assume(False)
+
+
+# 123 samples leave a partial last row block in select_pairs
+@settings(max_examples=300, deadline=None)
+@given(support=supports(), nx=st.integers(1, 16), ny=st.integers(1, 16),
+       samples=st.sampled_from([1, 2, 7, 100, 123, 200]),
+       budget=st.none() | st.integers(1, 12),
+       minimum=st.none() | st.integers(1, 12))
+def test_select_pairs_matches_the_dense_reference(support, nx, ny, samples,
+                                                  budget, minimum):
+    expected = reference_pairs(support, nx, ny, budget, minimum, samples)
+    if expected is None:
+        with pytest.raises(bf.EmptySupport):
+            bf.select_pairs(support, nx, ny, budget, minimum, samples)
+        return
+    pairs = bf.select_pairs(support, nx, ny, budget, minimum, samples)
+    assert [(p.n, p.k) for p in pairs] == expected
+    lx, ly = bf.grid_cosines(nx), bf.grid_cosines(ny)
+    assert [(p.lx, p.ly) for p in pairs] == [(lx[n - 1], ly[k - 1])
+                                             for n, k in expected]
+
+
+@pytest.mark.parametrize("samples", [1, 2, 7, 200])
+def test_support_image_equals_the_dense_image(samples):
+    sup = AngularSupport(1.0, 2.0, 0.3, 0.2)
+    u, v = bf.support_image(sup, samples)
+    ru, rv = dense_image(sup, samples)
+    assert u.shape == v.shape == (samples, samples)
+    assert np.array_equal(u.ravel(), ru) and np.array_equal(v.ravel(), rv)
 
 
 def test_budget_keeps_cells_nearest_the_support_centre():

@@ -114,8 +114,10 @@ def test_scheme_validation():
     ({"angle_model": "geometrical"}, "unknown angle model 'geometrical'"),
     ({"grid_dx": 0.0}, "grid_dx and grid_dy must be positive"),
     ({"grid_dy": -5.0}, "grid_dx and grid_dy must be positive"),
+    ({"p_t_dbm": [20.0, float("nan")]}, "experiment.p_t_dbm must be finite"),
+    ({"p_t_dbm": [float("-inf")]}, "experiment.p_t_dbm must be finite"),
 ], ids=["workers", "empty_powers", "duplicate_scheme", "duplicate_power",
-        "angle_model", "grid_dx", "grid_dy"])
+        "angle_model", "grid_dx", "grid_dy", "nan_power", "infinite_power"])
 def test_spec_rejects_invalid_values(overrides, message):
     with pytest.raises(ValueError, match=message):
         ExperimentSpec(**overrides)
@@ -228,6 +230,13 @@ def test_run_delay_makes_one_stacked_search_per_realization(monkeypatch):
     # per realization: one buffered call, three swarms per power
     assert policy_calls == ["with_buffer"] * spec.realizations
     assert solves == [3 * len(spec.p_t_dbm)] * spec.realizations
+
+
+def test_run_delay_csv_bytes_independent_of_workers(tmp_path):
+    paths = [tmp_path / f"delay_{workers}.csv" for workers in (1, 2)]
+    for workers, path in zip((1, 2), paths):
+        harness.run_delay(_small_spec(workers=workers), [2.0, 8.0], str(path))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 @pytest.mark.parametrize("queue_bits, message", [
@@ -436,6 +445,49 @@ def test_cli_delay_writes_csv(tmp_path, capsys):
     assert [line.split(":")[0] for line in printed] == [
         "P_T 20.0 dBm, Q 2.0 bits", "P_T 20.0 dBm, Q 4.0 bits"]
     assert all("buffered" in line for line in printed)
+
+
+def test_cli_delay_runs_the_workers_given(tmp_path, monkeypatch):
+    seen = []
+    run_delay = harness.run_delay
+
+    def recording(spec, *args):
+        seen.append(spec.workers)
+        return run_delay(spec, *args)
+    monkeypatch.setattr(harness, "run_delay", recording)
+    cfg = _write_fast_config(tmp_path)
+    out = tmp_path / "delay.csv"
+    assert cli.main(["delay", "--config", cfg, "--out", str(out),
+                     "--workers", "2"]) == 0
+    assert seen == [2]
+    assert out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["grid", "dataset"])
+def test_cli_refuses_a_non_finite_power(tmp_path, capsys, monkeypatch,
+                                        command, value):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a realization was drawn")
+    monkeypatch.setattr(harness, "realization", no_draw)
+    monkeypatch.setattr(learn, "Realization", no_draw)
+    code = cli.main([command, "--out", str(tmp_path / "out"),
+                     f"--p-t-dbm={value}"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith("p_t_dbm must be finite")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_run_refuses_a_non_finite_configured_power(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"experiment": {"p_t_dbm": [NaN]}}')
+    out_dir = tmp_path / "run"
+    assert cli.main(["run", "--config", str(bad), "--out", str(out_dir)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert "experiment.p_t_dbm must be finite" in err["message"]
+    assert not out_dir.exists()
 
 
 def test_cli_delay_rejects_a_negative_queue_size(tmp_path, capsys):

@@ -56,6 +56,19 @@ def test_buffer_never_loses_on_a_realization(desk_scenario, p20_mw,
         assert r_buf >= r_plain
 
 
+def test_optimize_policy_leaves_the_callers_seed_sequence_alone(
+        desk_realization, p20_mw, desk_sigma2):
+    seq = np.random.SeedSequence(5)
+    first = optimize_policy(desk_realization, CFG, p20_mw, desk_sigma2, seq)
+    second = optimize_policy(desk_realization, CFG, p20_mw, desk_sigma2, seq)
+    fresh = optimize_policy(desk_realization, CFG, p20_mw, desk_sigma2,
+                            np.random.SeedSequence(5))
+    assert seq.n_children_spawned == 0
+    for policy in (second, fresh):
+        for field in ("loc_rx", "loc_tx", "p_hat", "base_xy"):
+            assert np.array_equal(getattr(policy, field), getattr(first, field))
+
+
 def test_optimize_policy_reproducible(desk_realization, p20_mw, desk_sigma2):
     a = optimize_policy(desk_realization, CFG, p20_mw, desk_sigma2, seed=5)
     b = optimize_policy(desk_realization, CFG, p20_mw, desk_sigma2, seed=5)
