@@ -36,6 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--p-t-dbm", type=float, default=20.0)
     p_grid.add_argument("--objective", default="r_total",
                         choices=["r1", "r2", "r_total"])
+    p_grid.add_argument("--workers", type=int, help="parallel workers")
     p_grid.add_argument("--realizations", type=int)
 
     p_data = sub.add_parser("dataset", help="label realizations with the joint solver")

@@ -303,25 +303,32 @@ def _git_describe() -> str | None:
 def mean_surface(spec: ExperimentSpec, p_t_dbm: float,
                  objective: str = "r_total") -> pso.GridResult:
     """Grid surface averaged over the run's realizations; a non-finite
-    ``p_t_dbm`` is refused before any realization is drawn."""
+    ``p_t_dbm`` is refused before any realization is drawn. Realizations
+    spread over ``spec.workers`` processes; their grids add up in index
+    order, so the surface does not depend on the worker count."""
     if not math.isfinite(p_t_dbm):
         raise ValueError(f"p_t_dbm must be finite, got {p_t_dbm!r}")
     sigma2_mw = dbm_to_mw(noise_power(spec.scenario))
     p_t_mw = dbm_to_mw(p_t_dbm)
     rf = shared_rf(spec.scenario, spec.angle_model)
-    total = None
-    xs = ys = None
-    for i in range(spec.realizations):
-        grid = pso.exhaustive_grid(realization(spec, i, rf), spec.grid_dx,
-                                   spec.grid_dy, p_t_mw, sigma2_mw, objective)
-        total = grid.values if total is None else total + grid.values
-        xs, ys = grid.xs, grid.ys
-    values = total / spec.realizations
+    grids = _per_realization(spec, _realization_grid, rf, p_t_mw, sigma2_mw,
+                             objective)
+    values = sum(grids[1:], grids[0]) / spec.realizations
+    xs, ys = pso.grid_axes(spec.scenario.box, spec.grid_dx, spec.grid_dy)
     ix, iy = np.unravel_index(int(np.argmax(values)), values.shape)
     return pso.GridResult(xs=xs, ys=ys, values=values,
                           best_xy=np.array([xs[ix], ys[iy]]),
                           best_value=float(values[ix, iy]),
                           objective=objective)
+
+
+def _realization_grid(spec: ExperimentSpec, index: int, rf: RfDesign | None,
+                      p_t_mw: float, sigma2_mw: float, objective: str
+                      ) -> np.ndarray:
+    """The equal-power grid values of realization ``index``."""
+    return pso.exhaustive_grid(realization(spec, index, rf), spec.grid_dx,
+                               spec.grid_dy, p_t_mw, sigma2_mw,
+                               objective).values
 
 
 def emit_surface(grid: pso.GridResult, path: str) -> None:

@@ -301,6 +301,14 @@ def build_labels(p_mw: np.ndarray, xy, box: Box) -> np.ndarray:
     return np.concatenate([p_mw / top, box.to_unit(xy)])
 
 
+def _default_features(rlz: Realization, p_t_mw: float,
+                      sigma2_mw: float) -> np.ndarray:
+    """The surrogate's input: second-hop features at the default position."""
+    stages0 = rlz.stages_at(rlz.default_xy, p_t_mw, sigma2_mw)
+    return build_features(rlz.channel_pair_at(rlz.default_xy).h2,
+                          stages0.b_ut)
+
+
 def _decode(out: np.ndarray, box: Box) -> tuple[np.ndarray, np.ndarray]:
     """Network output to relative powers and a clipped in-box position."""
     k = out.size - 2
@@ -323,9 +331,7 @@ def apply_prediction(model: MlpModel, rlz: Realization, p_t_mw: float,
                      sigma2_mw: float):
     """Run the surrogate on a realization: features at the default position,
     then rates at the predicted position under the predicted powers."""
-    stages0 = rlz.stages_at(rlz.default_xy, p_t_mw, sigma2_mw)
-    feats = build_features(rlz.channel_pair_at(rlz.default_xy).h2,
-                           stages0.b_ut)
+    feats = _default_features(rlz, p_t_mw, sigma2_mw)
     p_rel, xy = _decode(forward(model, feats), rlz.scenario.box)
     report = rlz.rate_at(xy, p_t_mw, sigma2_mw, p_rel)
     return xy, p_rel, report
@@ -358,9 +364,7 @@ def _dataset_block(scenario: Scenario, master_seed: int, p_t_mw: float,
 def _dataset_row(rlz: Realization, sol: pso.SolveResult, p_t_mw: float,
                  sigma2_mw: float, index: int) -> dict:
     report = rlz.rate_at(sol.xy, p_t_mw, sigma2_mw, sol.p_hat)
-    stages0 = rlz.stages_at(rlz.default_xy, p_t_mw, sigma2_mw)
-    feats = build_features(rlz.channel_pair_at(rlz.default_xy).h2,
-                           stages0.b_ut)
+    feats = _default_features(rlz, p_t_mw, sigma2_mw)
     # p / max(p) is scale free, so the relative powers label directly
     labels = build_labels(sol.p_hat, sol.xy, rlz.scenario.box)
     return {

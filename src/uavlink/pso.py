@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from .geometry import Box
 from .links import Realization, stack_realizations
 
 
@@ -348,22 +349,27 @@ class GridResult:
     objective: str = "r_total"
 
 
-def exhaustive_grid(rlz: Realization, dx: float, dy: float, p_t_mw: float,
-                    sigma2_mw: float, objective: str = "r_total",
-                    p_hat=None) -> GridResult:
-    """Evaluate every grid cell centre; equal power unless p_hat is given.
+def grid_axes(box: Box, dx: float, dy: float
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Grid cell centres over ``box``, along x and along y.
 
     Cell centres sit at min + (i + 0.5) * step; a step wider than the box
     degenerates to the single box-centre cell.
     """
     if dx <= 0.0 or dy <= 0.0:
         raise ValueError("grid steps must be positive")
-    box = rlz.scenario.box
-    xs = _centers(box.x_min, box.x_max, dx)
-    ys = _centers(box.y_min, box.y_max, dy)
+    return (_centers(box.x_min, box.x_max, dx),
+            _centers(box.y_min, box.y_max, dy))
+
+
+def exhaustive_grid(rlz: Realization, dx: float, dy: float, p_t_mw: float,
+                    sigma2_mw: float, objective: str = "r_total"
+                    ) -> GridResult:
+    """Evaluate every :func:`grid_axes` cell centre under equal powers."""
+    xs, ys = grid_axes(rlz.scenario.box, dx, dy)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     xys = np.column_stack([gx.ravel(), gy.ravel()])
-    batch = rlz.evaluate_batch(xys, p_t_mw, sigma2_mw, p_hat)
+    batch = rlz.evaluate_batch(xys, p_t_mw, sigma2_mw)
     values = _objective_field(batch, objective).reshape(xs.size, ys.size)
     flat_best = int(np.argmax(values))
     ix, iy = np.unravel_index(flat_best, values.shape)

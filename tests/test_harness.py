@@ -176,6 +176,15 @@ def test_mean_surface_and_emit(tmp_path):
     assert lines[-1].startswith("best,")
 
 
+def test_surface_bytes_independent_of_workers(tmp_path):
+    paths = [tmp_path / f"surface_{workers}.csv" for workers in (1, 2)]
+    for workers, path in zip((1, 2), paths):
+        spec = _small_spec(realizations=3, workers=workers, grid_dx=25.0,
+                           grid_dy=25.0)
+        harness.emit_surface(harness.mean_surface(spec, 20.0), str(path))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def test_run_delay_rows(tmp_path):
     spec = _small_spec(p_t_dbm=[20.0], realizations=2)
     path = str(tmp_path / "delay.csv")
@@ -224,7 +233,7 @@ def test_run_delay_makes_one_stacked_search_per_realization(monkeypatch):
         return solve(*args, **kwargs)
     monkeypatch.setattr(relay, "optimize_policy", counted_policy)
     monkeypatch.setattr(pso, "solve_loc_equal_pa", counted_solve)
-    # without optimize_pa the buffered search makes no joint solve
+    # the policy search is location-only: it makes no joint solve
     monkeypatch.setattr(pso, "solve_joint", None)
     harness.run_delay(spec, [2.0, 8.0])
     # per realization: one buffered call, three swarms per power
@@ -458,6 +467,22 @@ def test_cli_delay_runs_the_workers_given(tmp_path, monkeypatch):
     cfg = _write_fast_config(tmp_path)
     out = tmp_path / "delay.csv"
     assert cli.main(["delay", "--config", cfg, "--out", str(out),
+                     "--workers", "2"]) == 0
+    assert seen == [2]
+    assert out.exists()
+
+
+def test_cli_grid_runs_the_workers_given(tmp_path, monkeypatch):
+    seen = []
+    mean_surface = harness.mean_surface
+
+    def recording(spec, *args):
+        seen.append(spec.workers)
+        return mean_surface(spec, *args)
+    monkeypatch.setattr(harness, "mean_surface", recording)
+    cfg = _write_fast_config(tmp_path)
+    out = tmp_path / "surface.csv"
+    assert cli.main(["grid", "--config", cfg, "--out", str(out),
                      "--workers", "2"]) == 0
     assert seen == [2]
     assert out.exists()

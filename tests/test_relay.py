@@ -11,17 +11,6 @@ from uavlink.relay import (BufferPolicy, ZeroRate, buffered_rate,
 CFG = PsoConfig(particles=10, iterations=20)
 
 
-def test_policy_mode_validation():
-    with pytest.raises(ValueError):
-        BufferPolicy(loc_rx=[10.0, 10.0], loc_tx=[20.0, 20.0],
-                     mode="without_buffer")
-    with pytest.raises(ValueError):
-        BufferPolicy(loc_rx=[10.0, 10.0], loc_tx=[10.0, 10.0], mode="queued")
-    ok = BufferPolicy(loc_rx=[10.0, 10.0], loc_tx=[10.0, 10.0],
-                      mode="without_buffer")
-    assert ok.p_hat is None
-
-
 def test_buffered_rate_uses_per_hop_positions(desk_realization, p20_mw,
                                               desk_sigma2):
     rlz = desk_realization
@@ -35,22 +24,20 @@ def test_buffered_rate_uses_per_hop_positions(desk_realization, p20_mw,
 def test_bufferless_policy_is_single_point(desk_realization, p20_mw,
                                            desk_sigma2):
     rlz = desk_realization
-    policy = BufferPolicy(loc_rx=[40.0, 60.0], loc_tx=[40.0, 60.0],
-                          mode="without_buffer")
+    policy = BufferPolicy(loc_rx=[40.0, 60.0], loc_tx=[40.0, 60.0])
     report = buffered_rate(rlz, policy, p20_mw, desk_sigma2)
     direct = rlz.rate_at([40.0, 60.0], p20_mw, desk_sigma2)
     assert report.r_total == direct.r_total
 
 
-@pytest.mark.parametrize("optimize_pa", [False, True])
 def test_buffer_never_loses_on_a_realization(desk_scenario, p20_mw,
-                                             desk_sigma2, optimize_pa):
+                                             desk_sigma2):
     for seed in (1, 2, 3):
         rlz = make_realization(desk_scenario, seed)
         plain = optimize_policy(rlz, CFG, p20_mw, desk_sigma2, seed=seed,
                                 mode="without_buffer")
         buf = optimize_policy(rlz, CFG, p20_mw, desk_sigma2, seed=seed,
-                              mode="with_buffer", optimize_pa=optimize_pa)
+                              mode="with_buffer")
         r_plain = buffered_rate(rlz, plain, p20_mw, desk_sigma2).r_total
         r_buf = buffered_rate(rlz, buf, p20_mw, desk_sigma2).r_total
         assert r_buf >= r_plain
@@ -65,7 +52,7 @@ def test_optimize_policy_leaves_the_callers_seed_sequence_alone(
                             np.random.SeedSequence(5))
     assert seq.n_children_spawned == 0
     for policy in (second, fresh):
-        for field in ("loc_rx", "loc_tx", "p_hat", "base_xy"):
+        for field in ("loc_rx", "loc_tx", "base_xy"):
             assert np.array_equal(getattr(policy, field), getattr(first, field))
 
 
@@ -95,10 +82,9 @@ def test_little_delay_rejects_degenerate_inputs():
         little_delay(1.0, 1.0, -1.0)
 
 
-def test_buffered_policy_stacks_its_three_searches(desk_realization, p20_mw,
-                                                   desk_sigma2, monkeypatch):
-    rlz = desk_realization
-    stacked = optimize_policy(rlz, CFG, p20_mw, desk_sigma2, seed=5)
+def _record_stacks(monkeypatch) -> list:
+    """Run every stacked location search one swarm at a time, and record
+    the objectives of each stack."""
     solve = pso.solve_loc_equal_pa
     stacks = []
 
@@ -110,34 +96,50 @@ def test_buffered_policy_stacks_its_three_searches(desk_realization, p20_mw,
                 for s, o in zip(seed, objective)]
 
     monkeypatch.setattr(pso, "solve_loc_equal_pa", one_at_a_time)
+    return stacks
+
+
+def test_buffered_policy_stacks_its_three_searches(desk_realization, p20_mw,
+                                                   desk_sigma2, monkeypatch):
+    rlz = desk_realization
+    stacked = optimize_policy(rlz, CFG, p20_mw, desk_sigma2, seed=5)
+    stacks = _record_stacks(monkeypatch)
     lone = optimize_policy(rlz, CFG, p20_mw, desk_sigma2, seed=5)
     assert stacks == [["r_total", "r1", "r2"]]
     assert np.array_equal(stacked.loc_rx, lone.loc_rx)
     assert np.array_equal(stacked.loc_tx, lone.loc_tx)
-    assert stacked.p_hat is None and lone.p_hat is None
+
+
+def test_bufferless_policy_makes_the_same_single_search(
+        desk_realization, p20_mw, desk_sigma2, monkeypatch):
+    rlz = desk_realization
+    stacked = optimize_policy(rlz, CFG, p20_mw, desk_sigma2, seed=5,
+                              mode="without_buffer")
+    stacks = _record_stacks(monkeypatch)
+    lone = optimize_policy(rlz, CFG, p20_mw, desk_sigma2, seed=5,
+                           mode="without_buffer")
+    assert stacks == [["r_total", "r1", "r2"]]
+    _same_policy(stacked, lone)
 
 
 def _same_policy(a, b):
-    assert a.mode == b.mode
-    for name in ("loc_rx", "loc_tx", "p_hat", "base_xy"):
+    for name in ("loc_rx", "loc_tx", "base_xy"):
         x, y = getattr(a, name), getattr(b, name)
         assert (x is None and y is None) or np.array_equal(x, y), name
 
 
 @pytest.mark.parametrize("mode", ["with_buffer", "without_buffer"])
-@pytest.mark.parametrize("optimize_pa", [False, True])
 def test_power_list_equals_per_power_calls(desk_realization, desk_sigma2,
-                                           optimize_pa, mode):
+                                           mode):
     rlz = desk_realization
     p_t_mw = [dbm_to_mw(p) for p in (0.0, 20.0, 40.0)]
     seeds = [np.random.SeedSequence([5, j]) for j in range(len(p_t_mw))]
     stacked = optimize_policy(rlz, CFG, p_t_mw, desk_sigma2, seeds,
-                              mode=mode, optimize_pa=optimize_pa)
+                              mode=mode)
     assert len(stacked) == len(p_t_mw)
     for j, policy in enumerate(stacked):
         lone = optimize_policy(rlz, CFG, p_t_mw[j], desk_sigma2,
-                               np.random.SeedSequence([5, j]), mode=mode,
-                               optimize_pa=optimize_pa)
+                               np.random.SeedSequence([5, j]), mode=mode)
         _same_policy(policy, lone)
 
 
@@ -150,12 +152,10 @@ def test_one_budget_serves_every_seed(desk_realization, p20_mw,
         _same_policy(a, b)
 
 
-@pytest.mark.parametrize("optimize_pa", [False, True])
 def test_bufferless_policy_comes_from_the_buffered_search(
-        desk_realization, p20_mw, desk_sigma2, optimize_pa):
+        desk_realization, p20_mw, desk_sigma2):
     rlz = desk_realization
-    buffered = optimize_policy(rlz, CFG, p20_mw, desk_sigma2, seed=5,
-                               optimize_pa=optimize_pa)
+    buffered = optimize_policy(rlz, CFG, p20_mw, desk_sigma2, seed=5)
     plain = optimize_policy(rlz, CFG, p20_mw, desk_sigma2, seed=5,
                             mode="without_buffer")
     _same_policy(buffered.bufferless(), plain)
