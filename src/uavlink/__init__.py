@@ -2,9 +2,9 @@
 and a learned surrogate for the joint decision."""
 
 from .geometry import (AngularSupport, Box, DegenerateGeometry, OutOfBox,
-                       Position3D, Scenario, dbm_to_mw, mw_to_dbm,
-                       distances, noise_power)
-from .channel import ChannelPair, PathSet, steering_vector
+                       Position3D, Scenario, dbm_to_mw, distances,
+                       noise_power)
+from .channel import ChannelPair, PathSet
 from .beamforming import (EmptySupport, HbfStages, OverlappingSupports,
                           QuantizedPair, RankDeficient, SingularSystem)
 from .rates import (AllZeroAlloc, NumericalFailure, PowerAlloc, RateReport,

@@ -153,11 +153,10 @@ def build_f_ur(pairs: list[QuantizedPair], nx: int, ny: int,
 def build_f_ut(group_supports: list[AngularSupport], nx: int, ny: int,
                spacing: float = 0.5, budget: int | None = None,
                minimums: list[int] | None = None, samples: int = 200
-               ) -> tuple[np.ndarray, list[slice]]:
+               ) -> np.ndarray:
     """UAV analog precoder: per-group column blocks, concatenated.
 
-    Returns the stage and the column slice of each group. Warns
-    OverlappingSupports when two groups share a cell.
+    Warns OverlappingSupports when two groups share a cell.
     """
     group_pairs = []
     for g, sup in enumerate(group_supports):
@@ -174,21 +173,7 @@ def build_f_ut(group_supports: list[AngularSupport], nx: int, ny: int,
             else:
                 seen[(p.n, p.k)] = g
     blocks = [build_f_b(pairs, nx, ny, spacing) for pairs in group_pairs]
-    f_ut = np.concatenate(blocks, axis=1)
-    slices, start = [], 0
-    for block in blocks:
-        slices.append(slice(start, start + block.shape[1]))
-        start += block.shape[1]
-    return f_ut, slices
-
-
-def cross_group_leakage(other_group_rows: np.ndarray, f_block: np.ndarray
-                        ) -> float:
-    """||A F||_F / ||A||_F for another group's steering rows A."""
-    denom = np.linalg.norm(other_group_rows)
-    if denom == 0.0:
-        raise ValueError("steering rows are all zero")
-    return float(np.linalg.norm(other_group_rows @ f_block) / denom)
+    return np.concatenate(blocks, axis=1)
 
 
 def bb_first_link(eff1: np.ndarray, p_t_mw: float, num_users: int
@@ -226,16 +211,3 @@ def bb_second_link(eff2: np.ndarray, ridge: float) -> np.ndarray:
             raise SingularSystem(
                 "unregularized normal matrix is singular") from err
         raise
-
-
-def assemble_stages(h1: np.ndarray, h2: np.ndarray, f_b: np.ndarray,
-                    f_ur: np.ndarray, f_ut: np.ndarray, p_t_mw: float,
-                    sigma2_mw: float) -> HbfStages:
-    """Digital stages and effective channels on top of fixed analog stages."""
-    k = h2.shape[0]
-    eff1 = f_ur @ h1 @ f_b
-    eff2 = h2 @ f_ut
-    b_b, b_ur, _ = bb_first_link(eff1, p_t_mw, k)
-    b_ut = bb_second_link(eff2, sigma2_mw / p_t_mw)
-    return HbfStages(f_b=f_b, b_b=b_b, f_ur=f_ur, b_ur=b_ur, f_ut=f_ut,
-                     b_ut=b_ut, eff1=eff1, eff2=eff2)

@@ -89,15 +89,6 @@ def steering_from_cosines(u, v, rows: int, cols: int, spacing: float = 0.5,
     return out[0] if scalar else out
 
 
-def steering_vector(elev: float, azim: float, rows: int, cols: int,
-                    spacing: float = 0.5, direction: str = "transmit"
-                    ) -> np.ndarray:
-    """URA steering vector a(elev, azim), Kronecker of the two axis ramps."""
-    u, v = direction_cosines(elev, azim)
-    vec = steering_from_cosines(u, v, rows, cols, spacing, direction)
-    return vec.reshape(rows * cols)
-
-
 def steering_block(paths: PathSet, shape: tuple[int, int],
                    spacing: float = 0.5, direction: str = "transmit"
                    ) -> np.ndarray:

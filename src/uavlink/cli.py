@@ -132,9 +132,11 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "train":
+        n_test = args.test_count
+        if n_test < 1:
+            raise ValueError(f"--test-count must be at least 1, got {n_test}")
         cfg = _train_config(args)
         features, labels, _ = learn.load_dataset(args.dataset)
-        n_test = args.test_count
         if n_test >= len(features):
             raise ValueError(
                 f"test count {n_test} leaves no training rows "
@@ -154,6 +156,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "predict":
+        if args.index < 0:
+            raise ValueError(f"--index must be nonnegative, got {args.index}")
         spec = _load_spec(args)
         model = learn.load_model(args.model)
         rlz = harness.realization(spec, args.index)

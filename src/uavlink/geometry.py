@@ -7,6 +7,7 @@ milliwatts internally; dBm only appears at configuration boundaries.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,12 +23,6 @@ class DegenerateGeometry(ValueError):
 
 def dbm_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
-
-
-def mw_to_dbm(mw: float) -> float:
-    if mw <= 0.0:
-        raise ValueError("power must be positive to express in dBm")
-    return 10.0 * math.log10(mw)
 
 
 @dataclass(frozen=True)
@@ -94,11 +89,6 @@ class Box:
             min(max(float(xy[0]), self.x_min), self.x_max),
             min(max(float(xy[1]), self.y_min), self.y_max),
         ])
-
-    @property
-    def center(self) -> np.ndarray:
-        return np.array([0.5 * (self.x_min + self.x_max),
-                         0.5 * (self.y_min + self.y_max)])
 
     def from_unit(self, coords) -> np.ndarray:
         """Map unit-box coordinates, shape (..., 2), onto the box in metres."""
@@ -255,11 +245,45 @@ def noise_power(scenario: Scenario) -> float:
 
 # --- configuration boundary -------------------------------------------------
 
+def require_integer(value, name: str) -> None:
+    """Refuse ``value`` naming its field ``name`` unless it is an integer
+    (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_number(value, name: str) -> None:
+    """Refuse ``value`` naming its field ``name`` unless it is a real
+    number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def require_list(value, name: str, length: int | None = None,
+                 item=require_number) -> None:
+    """Refuse ``value`` naming its field ``name`` unless it is a list or
+    tuple, of ``length`` entries if given, whose entries pass ``item``
+    (none checked when ``item`` is None)."""
+    if (not isinstance(value, (list, tuple))
+            or length is not None and len(value) != length):
+        what = "a list" if length is None else f"a list of {length}"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    for i, entry in enumerate(value if item else ()):
+        item(entry, f"{name}[{i}]")
+
+
 _FLOAT_KEYS = ("carrier_freq_hz", "bandwidth_hz", "noise_psd_dbm_hz",
                "ref_pathloss_db", "pathloss_exp", "element_spacing")
 _SHAPE_KEYS = ("bs_array", "uav_rx_array", "uav_tx_array")
 _INT_KEYS = ("paths_first_link", "paths_second_link", "rf_budget_bs",
              "rf_budget_uav_rx", "rf_budget_uav_tx_per_group")
+# (key, length, entry check) of each list-valued field
+_LIST_KEYS = (
+    ("bs_position", 3, require_number), ("uav_position", 3, require_number),
+    ("group_sizes", None, require_integer),
+    ("deployment_box", 4, require_number), ("user_xy_range", 2, require_number),
+    ("group_supports_deg_full", None, None),
+    *((key, 2, require_integer) for key in _SHAPE_KEYS))
 _SCENARIO_KEYS = {"bs_position", "uav_position", "users", "group_sizes",
                   "deployment_box", "user_xy_range", "first_link_supports_deg",
                   "group_supports_deg_full", *_FLOAT_KEYS, *_SHAPE_KEYS,
@@ -272,6 +296,12 @@ def scenario_from_dict(cfg: dict) -> Scenario:
     unknown = set(cfg) - _SCENARIO_KEYS
     if unknown:
         raise ValueError(f"unknown config field scenario.{sorted(unknown)[0]}")
+    for key, length, item in _LIST_KEYS:
+        if key in cfg:
+            require_list(cfg[key], f"scenario.{key}", length, item)
+    if cfg.get("users") is not None:
+        require_list(cfg["users"], "scenario.users",
+                     item=lambda u, name: require_list(u, name, 3))
     kwargs = {}
     if "bs_position" in cfg:
         kwargs["bs"] = Position3D(*cfg["bs_position"])
@@ -287,12 +317,14 @@ def scenario_from_dict(cfg: dict) -> Scenario:
         kwargs["user_xy_range"] = tuple(cfg["user_xy_range"])
     for key in _FLOAT_KEYS:
         if key in cfg:
+            require_number(cfg[key], f"scenario.{key}")
             kwargs[key] = float(cfg[key])
     for key in _SHAPE_KEYS:
         if key in cfg:
             kwargs[key] = (int(cfg[key][0]), int(cfg[key][1]))
     for key in _INT_KEYS:
         if key in cfg:
+            require_integer(cfg[key], f"scenario.{key}")
             kwargs[key] = int(cfg[key])
     if "first_link_supports_deg" in cfg:
         name = "scenario.first_link_supports_deg"
@@ -369,4 +401,6 @@ def _check_fields(d, keys: tuple[str, ...], name: str) -> None:
 
 def _support_from_deg(d: dict, name: str) -> AngularSupport:
     _check_fields(d, _SUPPORT_KEYS, name)
+    for key in _SUPPORT_KEYS:
+        require_number(d[key], f"{name}.{key}")
     return AngularSupport(*(math.radians(float(d[k])) for k in _SUPPORT_KEYS))

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import learn, pso, relay
 from .channel import ANGLE_MODELS
-from .geometry import Scenario, dbm_to_mw, noise_power, scenario_from_dict, \
-    scenario_to_dict
+from .geometry import Scenario, dbm_to_mw, noise_power, require_integer, \
+    require_list, require_number, scenario_from_dict, scenario_to_dict
 from .links import RfDesign, Realization, shared_rf
 
 SCHEMES = ("fl_eqpa", "psopa_fl", "psol_eqpa", "psolpa", "exhaustive", "dnn")
@@ -50,6 +50,12 @@ class ExperimentSpec:
     model_path: str | None = None
 
     def __post_init__(self):
+        require_list(self.schemes, "experiment.schemes", item=None)
+        require_list(self.p_t_dbm, "experiment.p_t_dbm")
+        for name in ("realizations", "seed", "workers"):
+            require_integer(getattr(self, name), f"experiment.{name}")
+        for name in ("grid_dx", "grid_dy"):
+            require_number(getattr(self, name), f"experiment.{name}")
         for name in self.schemes:
             if name not in SCHEMES:
                 raise ValueError(
@@ -65,6 +71,9 @@ class ExperimentSpec:
             raise ValueError("experiment.p_t_dbm lists a power twice")
         if self.realizations < 1:
             raise ValueError("need at least one realization")
+        if self.seed < 0:
+            raise ValueError(
+                f"experiment.seed must be nonnegative, got {self.seed}")
         if self.workers < 1:
             raise ValueError("experiment.workers must be at least 1")
         if self.angle_model not in ANGLE_MODELS:
@@ -74,6 +83,9 @@ class ExperimentSpec:
             raise ValueError("experiment.grid_dx and grid_dy must be positive")
         if "dnn" in self.schemes and not self.model_path:
             raise ValueError("scheme 'dnn' needs experiment.model_path")
+        if self.model_path is not None and not isinstance(self.model_path, str):
+            raise ValueError(f"experiment.model_path must be a path, got "
+                             f"{self.model_path!r}")
 
 
 @dataclass

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import pso
-from .geometry import Box, Scenario, dbm_to_mw, noise_power, scenario_to_dict
+from .geometry import Box, Scenario, dbm_to_mw, noise_power, require_integer, \
+    require_list, require_number, scenario_to_dict
 from .links import RfDesign, Realization, shared_rf
 from .rates import PowerAlloc, scale_alloc
 
@@ -68,6 +69,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_list(self.hidden_layers, "dnn.hidden_layers",
+                     item=require_integer)
+        for name in ("batch_size", "epochs", "seed"):
+            require_integer(getattr(self, name), f"dnn.{name}")
+        for name in ("learning_rate", "l2"):
+            require_number(getattr(self, name), f"dnn.{name}")
         if self.loss not in ("mse", "mae"):
             raise ValueError("loss must be 'mse' or 'mae'")
         if self.batch_size < 1 or self.epochs < 0:
@@ -288,10 +295,6 @@ def build_features(h2_rows: np.ndarray, b_ut: np.ndarray) -> np.ndarray:
                            w3 * gains, w4 / gains])
 
 
-def feature_length(num_users: int, n_t: int, n_rf: int) -> int:
-    return (2 * n_t + 2 * n_rf + 2) * num_users
-
-
 def build_labels(p_mw: np.ndarray, xy, box: Box) -> np.ndarray:
     """Normalized decision vector: powers by their max, position by the box."""
     p_mw = np.asarray(p_mw, dtype=float)
@@ -391,8 +394,11 @@ def generate_dataset(scenario: Scenario, count: int, master_seed: int,
     order as soon as the block finishes, so a crash loses at most the
     blocks in flight. A sidecar .meta.json pins the configuration and the
     row count; existing rows are resumed only under the configuration it
-    records. A non-finite ``p_t_dbm`` is refused before any file is written.
+    records. A ``count`` below 1 and a non-finite ``p_t_dbm`` are refused
+    before any file is written.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     if not math.isfinite(p_t_dbm):
         raise ValueError(f"p_t_dbm must be finite, got {p_t_dbm!r}")
     pso_cfg = pso_cfg or pso.PsoConfig()

@@ -42,7 +42,6 @@ class RfDesign:
     f_b: np.ndarray
     f_ur: np.ndarray
     f_ut: np.ndarray
-    group_slices: list[slice]
 
 
 @dataclass
@@ -66,15 +65,14 @@ def design_rf_stages(scenario: Scenario, supports: ch.Supports) -> RfDesign:
     f_b = bf.build_f_b(pairs_bs, *scenario.bs_array, scenario.element_spacing)
     f_ur = bf.build_f_ur(pairs_rx, *scenario.uav_rx_array,
                          scenario.element_spacing)
-    f_ut, slices = bf.build_f_ut(
+    f_ut = bf.build_f_ut(
         supports.groups, *scenario.uav_tx_array, scenario.element_spacing,
         budget=scenario.rf_budget_uav_tx_per_group,
         minimums=list(scenario.group_sizes))
     # one design may serve every realization of a run: freeze what it shares
     for stage in (f_b, f_ur, f_ut):
         stage.flags.writeable = False
-    return RfDesign(supports=supports, f_b=f_b, f_ur=f_ur, f_ut=f_ut,
-                    group_slices=slices)
+    return RfDesign(supports=supports, f_b=f_b, f_ur=f_ur, f_ut=f_ut)
 
 
 def shared_rf(scenario: Scenario, angle_model: str = "fixed"

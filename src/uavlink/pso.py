@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .geometry import Box
+from .geometry import Box, require_integer, require_list, require_number
 from .links import Realization, stack_realizations
 
 
@@ -42,6 +42,13 @@ class PsoConfig:
     velocity_clip: tuple[float, float] = (-0.2, 0.2)
 
     def __post_init__(self):
+        require_integer(self.particles, "pso.particles")
+        require_integer(self.iterations, "pso.iterations")
+        for name in ("gamma1", "gamma2", "inertia"):
+            require_number(getattr(self, name), f"pso.{name}")
+        if self.inertia_schedule is not None:
+            require_list(self.inertia_schedule, "pso.inertia_schedule", 2)
+        require_list(self.velocity_clip, "pso.velocity_clip", 2)
         if self.particles < 1 or self.iterations < 0:
             raise ValueError("need at least one particle and >= 0 iterations")
         lo, hi = self.velocity_clip
@@ -158,16 +165,6 @@ def run_swarms(objective, dim: int, cfg: PsoConfig, seeds: list,
         trace.append(gbest_val)
     return SwarmRun(best_pos=gbest_pos, best_val=gbest_val,
                     trace=np.stack(trace, axis=1), infeasible=dead.sum(axis=1))
-
-
-def run_pso(objective, dim: int, cfg: PsoConfig, seed,
-            warm_starts: list[np.ndarray] | None = None
-            ) -> tuple[np.ndarray, float, np.ndarray]:
-    """One swarm over an (m, dim) -> (m,) objective; returns (best
-    position, best value, gbest trace)."""
-    run = run_swarms(lambda coords: np.asarray(objective(coords[0]))[None],
-                     dim, cfg, [seed], warm_starts)
-    return run.best_pos[0], float(run.best_val[0]), run.trace[0]
 
 
 def _objective_field(batch, name: str) -> np.ndarray:

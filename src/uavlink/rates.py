@@ -100,21 +100,6 @@ def sinr_per_user(stages: HbfStages, alloc: PowerAlloc, sigma2_mw: float
     return sinr_from_couplings(c, alloc.p, sigma2_mw)
 
 
-def interference_split(stages: HbfStages, alloc: PowerAlloc,
-                       group_sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Interference power split into own-group and other-group parts.
-
-    The two parts partition the off-diagonal coupling sum exactly.
-    """
-    gains = np.abs(coupling_matrix(stages)) ** 2
-    group_of = np.repeat(np.arange(len(group_sizes)), group_sizes)
-    if group_of.size != gains.shape[0]:
-        raise ValueError("group sizes do not sum to the user count")
-    same = group_of[:, None] == group_of[None, :]
-    np.fill_diagonal(gains, 0.0)
-    return (gains * same) @ alloc.p, (gains * ~same) @ alloc.p
-
-
 def rate_second_link(stages: HbfStages, alloc: PowerAlloc, sigma2_mw: float
                      ) -> float:
     """Sum rate of the UAV->users hop in bps/Hz."""

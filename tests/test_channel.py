@@ -8,20 +8,26 @@ from uavlink import channel as ch
 from uavlink.geometry import AngularSupport, Position3D, Scenario, place_users
 
 
+def steering_vector(elev, azim, rows, cols, spacing, direction):
+    """URA steering vector a(elev, azim) at one direction."""
+    return ch.steering_from_cosines(*ch.direction_cosines(elev, azim),
+                                    rows, cols, spacing, direction)
+
+
 def test_receive_steering_two_element_example():
-    vec = ch.steering_vector(math.pi / 2, 0.0, 2, 1, 0.5, "receive")
+    vec = steering_vector(math.pi / 2, 0.0, 2, 1, 0.5, "receive")
     assert np.allclose(vec, [1.0, -1.0], atol=1e-12)
 
 
 def test_transmit_is_conjugate_of_receive():
-    tx = ch.steering_vector(1.0, 2.0, 3, 4, 0.5, "transmit")
-    rx = ch.steering_vector(1.0, 2.0, 3, 4, 0.5, "receive")
+    tx = steering_vector(1.0, 2.0, 3, 4, 0.5, "transmit")
+    rx = steering_vector(1.0, 2.0, 3, 4, 0.5, "receive")
     assert np.allclose(tx, rx.conj(), atol=1e-14)
 
 
 def test_steering_rejects_unknown_direction():
     with pytest.raises(ValueError):
-        ch.steering_vector(1.0, 1.0, 2, 2, 0.5, "sideways")
+        steering_vector(1.0, 1.0, 2, 2, 0.5, "sideways")
 
 
 def test_kronecker_structure_against_manual_ramps():
@@ -31,7 +37,7 @@ def test_kronecker_structure_against_manual_ramps():
     ax = np.exp(2j * math.pi * d * u * np.arange(rows))
     ay = np.exp(2j * math.pi * d * v * np.arange(cols))
     expected = np.kron(ax, ay)
-    got = ch.steering_vector(elev, azim, rows, cols, d, "transmit")
+    got = steering_vector(elev, azim, rows, cols, d, "transmit")
     assert np.allclose(got, expected, atol=1e-14)
 
 
@@ -40,7 +46,7 @@ def test_kronecker_structure_against_manual_ramps():
        azim=st.floats(0.01, 2 * math.pi - 0.01),
        rows=st.integers(1, 8), cols=st.integers(1, 8))
 def test_steering_entries_unit_magnitude(elev, azim, rows, cols):
-    vec = ch.steering_vector(elev, azim, rows, cols, 0.5, "transmit")
+    vec = steering_vector(elev, azim, rows, cols, 0.5, "transmit")
     assert vec.shape == (rows * cols,)
     assert np.allclose(np.abs(vec), 1.0, atol=1e-12)
 
@@ -59,8 +65,8 @@ def test_single_path_first_link_is_rank_one_outer_product():
     tx = ch.PathSet([1.0], [2.0], [1.0 + 0.0j])
     rx = ch.PathSet([0.9], [1.4], [1.0 + 0.0j])
     h1 = ch.first_link_matrix(tx, rx, (3, 3), (2, 2), 0.5)
-    a_r = ch.steering_vector(0.9, 1.4, 3, 3, 0.5, "transmit")
-    a_t = ch.steering_vector(1.0, 2.0, 2, 2, 0.5, "receive")
+    a_r = steering_vector(0.9, 1.4, 3, 3, 0.5, "transmit")
+    a_t = steering_vector(1.0, 2.0, 2, 2, 0.5, "receive")
     assert np.allclose(h1, np.outer(a_r, a_t), atol=1e-14)
     assert np.linalg.matrix_rank(h1) == 1
 
@@ -69,8 +75,8 @@ def test_second_link_row_matches_path_sum():
     paths = ch.PathSet([1.0, 1.2], [0.5, 0.7], [0.3 - 0.1j, -0.2 + 0.4j])
     h2 = ch.second_link_rows([paths], (2, 3), 0.5)
     expected = sum(
-        paths.gains[q] * ch.steering_vector(paths.elev[q], paths.azim[q],
-                                            2, 3, 0.5, "receive")
+        paths.gains[q] * steering_vector(paths.elev[q], paths.azim[q],
+                                         2, 3, 0.5, "receive")
         for q in range(2))
     assert np.allclose(h2[0], expected, atol=1e-14)
 

@@ -337,7 +337,8 @@ def test_run_reads_a_rewritten_model_file(tmp_path):
     spec = _small_spec(schemes=["dnn"], model_path=str(path))
     k, (rows, cols) = spec.scenario.num_users, spec.scenario.uav_tx_array
     n_rf = harness.realization(spec, 0).rf.f_ut.shape[1]
-    sizes = [learn.feature_length(k, rows * cols, n_rf), 4, k + 2]
+    # build_features' length: 2 N_t + 2 N_RF + 2 entries per user
+    sizes = [(2 * rows * cols + 2 * n_rf + 2) * k, 4, k + 2]
     learn.save_model(learn.init_model(sizes, 1), str(path))
     _, first = run(spec)
     second = learn.init_model(sizes, 2)
@@ -527,14 +528,32 @@ def test_cli_delay_rejects_a_negative_queue_size(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_reports_errors_as_json(tmp_path, capsys):
+@pytest.mark.parametrize("config, field", [
+    ({"experiment": {"bogus_field": 1}}, "bogus_field"),
+    ({"experiment": {"realizations": 2.5}}, "experiment.realizations"),
+    ({"experiment": {"workers": 1.5}}, "experiment.workers"),
+    ({"experiment": {"workers": True}}, "experiment.workers"),
+    ({"experiment": {"p_t_dbm": 20}}, "experiment.p_t_dbm"),
+    ({"experiment": {"seed": -3}}, "experiment.seed"),
+    ({"scenario": {"group_sizes": 4}}, "scenario.group_sizes"),
+    ({"scenario": {"bs_position": [0, 0]}}, "scenario.bs_position"),
+    ({"pso": {"particles": 2.5}}, "pso.particles"),
+    ({"experiment": {"schemes": ["dnn"], "model_path": 3}},
+     "experiment.model_path"),
+    ({"dnn": {"epochs": 2.5}}, "dnn.epochs"),
+], ids=["bogus_field", "realizations", "workers", "workers_bool", "p_t_dbm",
+        "seed", "group_sizes", "bs_position", "particles", "model_path",
+        "epochs"])
+def test_cli_reports_errors_as_json(tmp_path, capsys, config, field):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"experiment": {"bogus_field": 1}}))
-    code = cli.main(["run", "--config", str(bad)])
+    bad.write_text(json.dumps(config))
+    out_dir = tmp_path / "run"
+    code = cli.main(["run", "--config", str(bad), "--out", str(out_dir)])
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
-    assert "bogus_field" in err["message"]
+    assert field in err["message"]
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -594,13 +613,35 @@ def test_cli_names_a_config_that_is_not_json(tmp_path, capsys, command):
     assert err["message"].startswith(f"config {bad} is not valid JSON: ")
 
 
-def test_cli_train_needs_enough_rows(tmp_path, capsys):
+@pytest.mark.parametrize("test_count, message", [
+    ("5", "no training rows"),
+    ("0", "--test-count must be at least 1, got 0"),
+    ("-3", "--test-count must be at least 1, got -3"),
+], ids=["5", "0", "-3"])
+def test_cli_train_needs_enough_rows(tmp_path, capsys, test_count, message):
     data = tmp_path / "tiny.jsonl"
     rows = [{"index": i, "features": [0.1, 0.2], "labels": [0.5, 0.5, 0.5]}
             for i in range(3)]
     data.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    code = cli.main(["train", "--dataset", str(data), "--test-count", "5",
-                     "--out", str(tmp_path / "m.npz")])
+    model = tmp_path / "m.npz"
+    code = cli.main(["train", "--dataset", str(data), "--test-count",
+                     test_count, "--out", str(model)])
     assert code == 1
     err = json.loads(capsys.readouterr().err)
-    assert "no training rows" in err["message"]
+    assert message in err["message"]
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dataset", "--count", "-4", "--out", "rows.jsonl"],
+     "count must be at least 1, got -4"),
+    (["predict", "--model", "m.npz", "--index", "-1"],
+     "--index must be nonnegative, got -1"),
+], ids=["dataset", "predict"])
+def test_cli_refuses_a_count_or_index_below_range(tmp_path, capsys,
+                                                  monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": message}
+    assert list(tmp_path.iterdir()) == []

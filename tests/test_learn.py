@@ -8,13 +8,19 @@ import pytest
 from uavlink import learn
 from uavlink.geometry import Box, Scenario
 from uavlink.learn import (DegenerateInput, ShapeMismatch, TrainConfig, backprop,
-                           build_features, build_labels, feature_length,
-                           forward, generate_dataset, init_model,
+                           build_features, build_labels, forward,
+                           generate_dataset, init_model,
                            load_dataset, load_model, loss, penalized_loss,
                            predict_and_denormalize, save_model, train)
 from uavlink.links import make_realization
 from uavlink.pso import PsoConfig
 from uavlink.rates import precoder_gains
+
+
+def feature_length(num_users: int, n_t: int, n_rf: int) -> int:
+    """Length of ``build_features``' output: per user, the channel row and
+    the precoder column (real and imaginary parts) and two gain terms."""
+    return (2 * n_t + 2 * n_rf + 2) * num_users
 
 
 def test_init_model_shapes_and_bounds():
@@ -255,6 +261,13 @@ def test_dataset_sidecar_counts_the_rows_in_the_file(tmp_path,
     generate_dataset(desk_scenario, 2, 1, path, pso_cfg=cfg)
     assert len(open(path).read().splitlines()) == 4
     assert json.load(open(path + ".meta.json"))["count"] == 4
+
+
+@pytest.mark.parametrize("count", [0, -4])
+def test_dataset_refuses_a_count_below_one(tmp_path, desk_scenario, count):
+    with pytest.raises(ValueError, match=f"count must be at least 1, got {count}"):
+        generate_dataset(desk_scenario, count, 1, str(tmp_path / "rows.jsonl"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dataset_rows_survive_a_crash(tmp_path, desk_scenario, monkeypatch):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from uavlink import pso
 from uavlink.geometry import Box, dbm_to_mw, noise_power
-from uavlink.pso import PsoConfig, clip, exhaustive_grid, run_pso
+from uavlink.pso import PsoConfig, clip, exhaustive_grid
 
 
 @given(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=8))
@@ -20,12 +20,13 @@ def test_clip_stays_in_unit_box(values):
 
 def _sphere(points):
     # maximum at the unit-box centre
-    return -np.sum((points - 0.5) ** 2, axis=1)
+    return -np.sum((points - 0.5) ** 2, axis=-1)
 
 
 def test_trace_is_monotone_and_has_final_value():
     cfg = PsoConfig(particles=10, iterations=30)
-    pos, val, trace = run_pso(_sphere, 4, cfg, seed=3)
+    run = pso.run_swarms(_sphere, 4, cfg, [3])
+    trace, val = run.trace[0], run.best_val[0]
     assert trace.shape == (cfg.iterations + 1,)
     assert np.all(np.diff(trace) >= 0.0)
     assert trace[-1] == val
@@ -34,19 +35,19 @@ def test_trace_is_monotone_and_has_final_value():
 
 def test_run_pso_bit_reproducible():
     cfg = PsoConfig(particles=8, iterations=20)
-    out = [run_pso(_sphere, 3, cfg, seed=9) for _ in range(2)]
-    assert np.array_equal(out[0][0], out[1][0])
-    assert out[0][1] == out[1][1]
-    assert np.array_equal(out[0][2], out[1][2])
+    out = [pso.run_swarms(_sphere, 3, cfg, [9]) for _ in range(2)]
+    assert np.array_equal(out[0].best_pos, out[1].best_pos)
+    assert np.array_equal(out[0].best_val, out[1].best_val)
+    assert np.array_equal(out[0].trace, out[1].trace)
 
 
 def test_warm_start_is_first_particle():
     cfg = PsoConfig(particles=6, iterations=0)
     warm = [np.array([0.5, 0.5])]
-    _, val, trace = run_pso(_sphere, 2, cfg, seed=1, warm_starts=warm)
+    run = pso.run_swarms(_sphere, 2, cfg, [1], warm_starts=warm)
     # with zero iterations the best candidate is the seeded optimum
-    assert val == 0.0
-    assert np.array_equal(trace, [0.0])
+    assert run.best_val[0] == 0.0
+    assert np.array_equal(run.trace[0], [0.0])
 
 
 def test_inertia_schedule_interpolates():
@@ -299,10 +300,10 @@ def test_run_swarms_records_infeasible():
     assert np.any(run.infeasible > 0)
     for s in range(3):
         # each swarm alone walks the same path
-        pos, val, trace = run_pso(lambda c: objective(c[None])[0], 3, cfg,
-                                  seed=s + 1)
-        assert np.array_equal(pos, run.best_pos[s]) and val == run.best_val[s]
-        assert np.array_equal(trace, run.trace[s])
+        alone = pso.run_swarms(objective, 3, cfg, [s + 1])
+        assert np.array_equal(alone.best_pos[0], run.best_pos[s])
+        assert alone.best_val[0] == run.best_val[s]
+        assert np.array_equal(alone.trace[0], run.trace[s])
 
 
 @pytest.mark.parametrize("solver", ["pa", "loc", "joint"])
@@ -331,13 +332,13 @@ def test_list_seed_means_one_swarm_per_element(desk_realization,
     one = pso.solve_loc_equal_pa(desk_realization, SMALL, p20_mw,
                                  desk_sigma2, np.random.SeedSequence([7, 0]))
     assert isinstance(one, pso.SolveResult)
-    _, _, trace = run_pso(
+    alone = pso.run_swarms(
         lambda c: pso._eval_candidates(
-            desk_realization, desk_realization.scenario.box.from_unit(c),
-            None, p20_mw, desk_sigma2, "r_total"),
-        2, SMALL, [7, 0],
+            desk_realization, desk_realization.scenario.box.from_unit(c[0]),
+            None, p20_mw, desk_sigma2, "r_total")[None],
+        2, SMALL, [[7, 0]],
         [desk_realization.scenario.box.to_unit(desk_realization.default_xy)])
-    assert np.array_equal(one.trace, trace)
+    assert np.array_equal(one.trace, alone.trace[0])
 
 
 def test_eval_candidates_scores_objective_blocks(desk_realization,

@@ -9,6 +9,16 @@ from uavlink import rates
 from uavlink.beamforming import HbfStages
 
 
+def assemble_stages(h1, h2, f_b, f_ur, f_ut, p_t_mw, sigma2_mw):
+    """Digital stages and effective channels on top of fixed analog stages."""
+    eff1 = f_ur @ h1 @ f_b
+    eff2 = h2 @ f_ut
+    b_b, b_ur, _ = bf.bb_first_link(eff1, p_t_mw, h2.shape[0])
+    b_ut = bf.bb_second_link(eff2, sigma2_mw / p_t_mw)
+    return HbfStages(f_b=f_b, b_b=b_b, f_ur=f_ur, b_ur=b_ur, f_ut=f_ut,
+                     b_ut=b_ut, eff1=eff1, eff2=eff2)
+
+
 def random_stages(rng, k=3, n_rf=5, n_ant=12, p_t=100.0, sigma2=1e-6):
     """Realistic random stage set: orthonormal-ish analog, SVD/RZF digital."""
     h1 = rng.standard_normal((n_ant, n_ant)) + 1j * rng.standard_normal(
@@ -20,7 +30,7 @@ def random_stages(rng, k=3, n_rf=5, n_ant=12, p_t=100.0, sigma2=1e-6):
                         + 1j * rng.standard_normal((n_ant, n_rf)))[0].conj().T
     f_ut = np.linalg.qr(rng.standard_normal((n_ant, n_rf))
                         + 1j * rng.standard_normal((n_ant, n_rf)))[0]
-    return bf.assemble_stages(h1, h2, f_b, f_ur, f_ut, p_t, sigma2)
+    return assemble_stages(h1, h2, f_b, f_ur, f_ut, p_t, sigma2)
 
 
 def sinr_oracle(eff2, b_ut, p, sigma2):
@@ -147,25 +157,6 @@ def test_degenerate_scaling_inputs_raise():
         rates.PowerAlloc(np.array([1.0, -0.1]))
 
 
-def test_interference_split_partitions_total():
-    rng = np.random.default_rng(10)
-    stages = random_stages(rng, k=4)
-    alloc = rates.PowerAlloc(rng.uniform(0.1, 2.0, size=4))
-    intra, inter = rates.interference_split(stages, alloc, [2, 2])
-    c = rates.coupling_matrix(stages)
-    gains = np.abs(c) ** 2
-    total = gains @ alloc.p - np.diag(gains) * alloc.p
-    assert np.allclose(intra + inter, total, rtol=1e-12)
-    group = [0, 0, 1, 1]
-    for i in range(4):
-        own = sum(gains[i, j] * alloc.p[j] for j in range(4)
-                  if j != i and group[j] == group[i])
-        assert intra[i] == pytest.approx(own, rel=1e-12)
-    sinr = rates.sinr_per_user(stages, alloc, 1e-6)
-    assert np.allclose(sinr, np.diag(gains) * alloc.p / (intra + inter + 1e-6),
-                       rtol=1e-12)
-
-
 @settings(max_examples=40, deadline=None)
 @given(bump=st.floats(0.01, 10.0), victim=st.integers(0, 2),
        source=st.integers(0, 2))
@@ -190,8 +181,8 @@ def test_rates_invariant_to_common_power_noise_rescale():
     f = np.linalg.qr(rng.standard_normal((8, 4))
                      + 1j * rng.standard_normal((8, 4)))[0]
     p_t, sigma2 = 10.0, 1e-7
-    a = bf.assemble_stages(h1, h2, f, f.conj().T, f, p_t, sigma2)
-    b = bf.assemble_stages(h1, h2, f, f.conj().T, f, 10 * p_t, 10 * sigma2)
+    a = assemble_stages(h1, h2, f, f.conj().T, f, p_t, sigma2)
+    b = assemble_stages(h1, h2, f, f.conj().T, f, 10 * p_t, 10 * sigma2)
     alloc_a = rates.scale_alloc(np.array([1.0, 2.0, 0.5]), a.b_ut, p_t)
     alloc_b = rates.scale_alloc(np.array([1.0, 2.0, 0.5]), b.b_ut, 10 * p_t)
     assert rates.rate_first_link(a, sigma2) == pytest.approx(
