@@ -9,6 +9,7 @@ import os
 import sys
 
 from . import harness, learn
+from .config import from_dict
 from .geometry import dbm_to_mw, noise_power
 
 
@@ -86,11 +87,9 @@ def _load_spec(args) -> harness.ExperimentSpec:
 
 
 def _train_config(args) -> learn.TrainConfig:
-    cfg = learn.config_from_dict(
-        harness.read_config(args.config).get("dnn", {}) if args.config else {})
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
+    cfg = harness.read_config(args.config) if args.config else {}
+    seed = {} if args.seed is None else {"seed": args.seed}
+    return from_dict(learn.TrainConfig, cfg.get("dnn", {}), "dnn", **seed)
 
 
 def main(argv=None) -> int:

@@ -7,7 +7,6 @@ milliwatts internally; dBm only appears at configuration boundaries.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,16 +150,21 @@ class Scenario:
     rf_budget_uav_tx_per_group: int = 6
 
     def __post_init__(self):
-        if any(k <= 0 for k in self.group_sizes):
-            raise ValueError("group sizes must be positive")
+        for name in ("group_sizes", "bs_array", "uav_rx_array", "uav_tx_array"):
+            if not all(n > 0 for n in getattr(self, name)):
+                raise ValueError(f"scenario.{name} entries must be positive, "
+                                 f"got {list(getattr(self, name))}")
         if self.users is not None and len(self.users) != self.num_users:
             raise ValueError(
                 f"{len(self.users)} users given but group sizes sum to {self.num_users}")
-        for shape in (self.bs_array, self.uav_rx_array, self.uav_tx_array):
-            if shape[0] < 1 or shape[1] < 1:
-                raise ValueError("array shapes must be at least 1x1")
-        if self.element_spacing <= 0.0:
-            raise ValueError("element spacing must be positive")
+        for name in ("carrier_freq_hz", "bandwidth_hz", "pathloss_exp",
+                     "element_spacing", "paths_first_link", "paths_second_link"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"scenario.{name} must be positive, "
+                                 f"got {getattr(self, name)!r}")
+        if not self.user_xy_range[0] < self.user_xy_range[1]:
+            raise ValueError(f"scenario.user_xy_range must be increasing, "
+                             f"got {list(self.user_xy_range)}")
         if self.group_supports is None:
             self.group_supports = default_group_supports(self.num_groups)
         if len(self.group_supports) != self.num_groups:
@@ -241,166 +245,3 @@ def distances(scenario: Scenario, xys, user_xyz: np.ndarray
 def noise_power(scenario: Scenario) -> float:
     """Thermal noise power over the full bandwidth, in dBm."""
     return scenario.noise_psd_dbm_hz + 10.0 * math.log10(scenario.bandwidth_hz)
-
-
-# --- configuration boundary -------------------------------------------------
-
-def require_integer(value, name: str) -> None:
-    """Refuse ``value`` naming its field ``name`` unless it is an integer
-    (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def require_number(value, name: str) -> None:
-    """Refuse ``value`` naming its field ``name`` unless it is a real
-    number (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-
-
-def require_list(value, name: str, length: int | None = None,
-                 item=require_number) -> None:
-    """Refuse ``value`` naming its field ``name`` unless it is a list or
-    tuple, of ``length`` entries if given, whose entries pass ``item``
-    (none checked when ``item`` is None)."""
-    if (not isinstance(value, (list, tuple))
-            or length is not None and len(value) != length):
-        what = "a list" if length is None else f"a list of {length}"
-        raise ValueError(f"{name} must be {what}, got {value!r}")
-    for i, entry in enumerate(value if item else ()):
-        item(entry, f"{name}[{i}]")
-
-
-_FLOAT_KEYS = ("carrier_freq_hz", "bandwidth_hz", "noise_psd_dbm_hz",
-               "ref_pathloss_db", "pathloss_exp", "element_spacing")
-_SHAPE_KEYS = ("bs_array", "uav_rx_array", "uav_tx_array")
-_INT_KEYS = ("paths_first_link", "paths_second_link", "rf_budget_bs",
-             "rf_budget_uav_rx", "rf_budget_uav_tx_per_group")
-# (key, length, entry check) of each list-valued field
-_LIST_KEYS = (
-    ("bs_position", 3, require_number), ("uav_position", 3, require_number),
-    ("group_sizes", None, require_integer),
-    ("deployment_box", 4, require_number), ("user_xy_range", 2, require_number),
-    ("group_supports_deg_full", None, None),
-    *((key, 2, require_integer) for key in _SHAPE_KEYS))
-_SCENARIO_KEYS = {"bs_position", "uav_position", "users", "group_sizes",
-                  "deployment_box", "user_xy_range", "first_link_supports_deg",
-                  "group_supports_deg_full", *_FLOAT_KEYS, *_SHAPE_KEYS,
-                  *_INT_KEYS}
-
-
-def scenario_from_dict(cfg: dict) -> Scenario:
-    """Build a Scenario from the dict scenario_to_dict writes (angles in
-    degrees); any field may be omitted, unknown fields are errors."""
-    unknown = set(cfg) - _SCENARIO_KEYS
-    if unknown:
-        raise ValueError(f"unknown config field scenario.{sorted(unknown)[0]}")
-    for key, length, item in _LIST_KEYS:
-        if key in cfg:
-            require_list(cfg[key], f"scenario.{key}", length, item)
-    if cfg.get("users") is not None:
-        require_list(cfg["users"], "scenario.users",
-                     item=lambda u, name: require_list(u, name, 3))
-    kwargs = {}
-    if "bs_position" in cfg:
-        kwargs["bs"] = Position3D(*cfg["bs_position"])
-    if "uav_position" in cfg:
-        kwargs["uav"] = Position3D(*cfg["uav_position"])
-    if cfg.get("users") is not None:
-        kwargs["users"] = [Position3D(*u) for u in cfg["users"]]
-    if "group_sizes" in cfg:
-        kwargs["group_sizes"] = [int(k) for k in cfg["group_sizes"]]
-    if "deployment_box" in cfg:
-        kwargs["box"] = Box(*cfg["deployment_box"])
-    if "user_xy_range" in cfg:
-        kwargs["user_xy_range"] = tuple(cfg["user_xy_range"])
-    for key in _FLOAT_KEYS:
-        if key in cfg:
-            require_number(cfg[key], f"scenario.{key}")
-            kwargs[key] = float(cfg[key])
-    for key in _SHAPE_KEYS:
-        if key in cfg:
-            kwargs[key] = (int(cfg[key][0]), int(cfg[key][1]))
-    for key in _INT_KEYS:
-        if key in cfg:
-            require_integer(cfg[key], f"scenario.{key}")
-            kwargs[key] = int(cfg[key])
-    if "first_link_supports_deg" in cfg:
-        name = "scenario.first_link_supports_deg"
-        pair = cfg["first_link_supports_deg"]
-        _check_fields(pair, ("tx", "rx"), name)
-        kwargs["first_link_tx_support"] = _support_from_deg(
-            pair["tx"], f"{name}.tx")
-        kwargs["first_link_rx_support"] = _support_from_deg(
-            pair["rx"], f"{name}.rx")
-    if "group_supports_deg_full" in cfg:
-        kwargs["group_supports"] = [
-            _support_from_deg(g, f"scenario.group_supports_deg_full[{i}]")
-            for i, g in enumerate(cfg["group_supports_deg_full"])]
-    return Scenario(**kwargs)
-
-
-def scenario_to_dict(s: Scenario) -> dict:
-    """Dict round-trip counterpart of scenario_from_dict (angles in degrees)."""
-    out = {
-        "bs_position": [s.bs.x, s.bs.y, s.bs.z],
-        "uav_position": [s.uav.x, s.uav.y, s.uav.z],
-        "users": None if s.users is None else [[u.x, u.y, u.z] for u in s.users],
-        "group_sizes": list(s.group_sizes),
-        "deployment_box": [s.box.x_min, s.box.y_min, s.box.x_max, s.box.y_max],
-        "user_xy_range": list(s.user_xy_range),
-        "carrier_freq_hz": s.carrier_freq_hz,
-        "bandwidth_hz": s.bandwidth_hz,
-        "noise_psd_dbm_hz": s.noise_psd_dbm_hz,
-        "ref_pathloss_db": s.ref_pathloss_db,
-        "pathloss_exp": s.pathloss_exp,
-        "bs_array": list(s.bs_array),
-        "uav_rx_array": list(s.uav_rx_array),
-        "uav_tx_array": list(s.uav_tx_array),
-        "element_spacing": s.element_spacing,
-        "paths_first_link": s.paths_first_link,
-        "paths_second_link": s.paths_second_link,
-        "rf_budget_bs": s.rf_budget_bs,
-        "rf_budget_uav_rx": s.rf_budget_uav_rx,
-        "rf_budget_uav_tx_per_group": s.rf_budget_uav_tx_per_group,
-        "first_link_supports_deg": {
-            "tx": _support_to_deg(s.first_link_tx_support),
-            "rx": _support_to_deg(s.first_link_rx_support),
-        },
-        "group_supports_deg_full": [_support_to_deg(g) for g in s.group_supports],
-    }
-    return out
-
-
-def _support_to_deg(sup: AngularSupport) -> dict:
-    return {
-        "mean_elev_deg": math.degrees(sup.mean_elev),
-        "mean_azim_deg": math.degrees(sup.mean_azim),
-        "spread_elev_deg": math.degrees(sup.spread_elev),
-        "spread_azim_deg": math.degrees(sup.spread_azim),
-    }
-
-
-_SUPPORT_KEYS = ("mean_elev_deg", "mean_azim_deg", "spread_elev_deg",
-                 "spread_azim_deg")
-
-
-def _check_fields(d, keys: tuple[str, ...], name: str) -> None:
-    """Require ``d`` to be a dict of exactly ``keys``, naming the config
-    path ``name`` otherwise."""
-    if not isinstance(d, dict):
-        raise ValueError(f"config field {name} must be an object")
-    for key in keys:
-        if key not in d:
-            raise ValueError(f"missing config field {name}.{key}")
-    unknown = set(d) - set(keys)
-    if unknown:
-        raise ValueError(f"unknown config field {name}.{sorted(unknown)[0]}")
-
-
-def _support_from_deg(d: dict, name: str) -> AngularSupport:
-    _check_fields(d, _SUPPORT_KEYS, name)
-    for key in _SUPPORT_KEYS:
-        require_number(d[key], f"{name}.{key}")
-    return AngularSupport(*(math.radians(float(d[k])) for k in _SUPPORT_KEYS))

@@ -22,8 +22,9 @@ import numpy as np
 
 from . import learn, pso, relay
 from .channel import ANGLE_MODELS
-from .geometry import Scenario, dbm_to_mw, noise_power, require_integer, \
-    require_list, require_number, scenario_from_dict, scenario_to_dict
+from .config import check_fields, from_dict, require_number, \
+    scenario_from_dict, scenario_to_dict, to_dict
+from .geometry import Scenario, dbm_to_mw, noise_power
 from .links import RfDesign, Realization, shared_rf
 
 SCHEMES = ("fl_eqpa", "psopa_fl", "psol_eqpa", "psolpa", "exhaustive", "dnn")
@@ -50,12 +51,7 @@ class ExperimentSpec:
     model_path: str | None = None
 
     def __post_init__(self):
-        require_list(self.schemes, "experiment.schemes", item=None)
-        require_list(self.p_t_dbm, "experiment.p_t_dbm")
-        for name in ("realizations", "seed", "workers"):
-            require_integer(getattr(self, name), f"experiment.{name}")
-        for name in ("grid_dx", "grid_dy"):
-            require_number(getattr(self, name), f"experiment.{name}")
+        check_fields(self, "experiment")
         for name in self.schemes:
             if name not in SCHEMES:
                 raise ValueError(
@@ -64,16 +60,12 @@ class ExperimentSpec:
             raise ValueError("experiment.schemes lists a scheme twice")
         if not self.p_t_dbm:
             raise ValueError("experiment.p_t_dbm needs at least one power")
-        if not all(math.isfinite(p_t) for p_t in self.p_t_dbm):
-            raise ValueError(
-                f"experiment.p_t_dbm must be finite, got {self.p_t_dbm}")
         if len(set(self.p_t_dbm)) != len(self.p_t_dbm):
             raise ValueError("experiment.p_t_dbm lists a power twice")
         if self.realizations < 1:
             raise ValueError("need at least one realization")
         if self.seed < 0:
-            raise ValueError(
-                f"experiment.seed must be nonnegative, got {self.seed}")
+            raise ValueError(f"experiment.seed must be nonnegative, got {self.seed}")
         if self.workers < 1:
             raise ValueError("experiment.workers must be at least 1")
         if self.angle_model not in ANGLE_MODELS:
@@ -83,9 +75,6 @@ class ExperimentSpec:
             raise ValueError("experiment.grid_dx and grid_dy must be positive")
         if "dnn" in self.schemes and not self.model_path:
             raise ValueError("scheme 'dnn' needs experiment.model_path")
-        if self.model_path is not None and not isinstance(self.model_path, str):
-            raise ValueError(f"experiment.model_path must be a path, got "
-                             f"{self.model_path!r}")
 
 
 @dataclass
@@ -264,21 +253,8 @@ def _fmt(x) -> str:
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
-    return {
-        "scenario": scenario_to_dict(spec.scenario),
-        "pso": pso.config_to_dict(spec.pso),
-        "experiment": {
-            "schemes": list(spec.schemes),
-            "p_t_dbm": list(spec.p_t_dbm),
-            "realizations": spec.realizations,
-            "seed": spec.seed,
-            "workers": spec.workers,
-            "angle_model": spec.angle_model,
-            "grid_dx": spec.grid_dx,
-            "grid_dy": spec.grid_dy,
-            "model_path": spec.model_path,
-        },
-    }
+    return {"scenario": scenario_to_dict(spec.scenario),
+            "pso": to_dict(spec.pso), "experiment": to_dict(spec)}
 
 
 def config_hash(spec: ExperimentSpec) -> str:
@@ -318,8 +294,7 @@ def mean_surface(spec: ExperimentSpec, p_t_dbm: float,
     ``p_t_dbm`` is refused before any realization is drawn. Realizations
     spread over ``spec.workers`` processes; their grids add up in index
     order, so the surface does not depend on the worker count."""
-    if not math.isfinite(p_t_dbm):
-        raise ValueError(f"p_t_dbm must be finite, got {p_t_dbm!r}")
+    require_number(p_t_dbm, "p_t_dbm")
     sigma2_mw = dbm_to_mw(noise_power(spec.scenario))
     p_t_mw = dbm_to_mw(p_t_dbm)
     rf = shared_rf(spec.scenario, spec.angle_model)
@@ -422,23 +397,17 @@ def _check_queue_bits(queue_bits: list[float]) -> None:
 
 # --- configuration boundary ------------------------------------------------------
 
-_EXP_KEYS = {"schemes", "p_t_dbm", "realizations", "seed", "workers",
-             "angle_model", "grid_dx", "grid_dy", "model_path"}
-
-
 def spec_from_dict(cfg: dict) -> ExperimentSpec:
     """Parse and validate the run configuration; unknown keys are errors."""
     for key in cfg:
         if key not in ("scenario", "pso", "experiment", "dnn"):
             raise ValueError(f"unknown config section {key!r}")
     scenario = scenario_from_dict(cfg.get("scenario", {}))
-    swarm_cfg = pso.config_from_dict(cfg.get("pso", {}))
-    learn.config_from_dict(cfg.get("dnn", {}))   # read by `train` alone
-    exp_cfg = cfg.get("experiment", {})
-    unknown = set(exp_cfg) - _EXP_KEYS
-    if unknown:
-        raise ValueError(f"unknown config field experiment.{sorted(unknown)[0]}")
-    return ExperimentSpec(scenario=scenario, pso=swarm_cfg, **exp_cfg)
+    swarm_cfg = from_dict(pso.PsoConfig, cfg.get("pso", {}), "pso")
+    # read by `train` alone, but refused here too when it is malformed
+    from_dict(learn.TrainConfig, cfg.get("dnn", {}), "dnn")
+    return from_dict(ExperimentSpec, cfg.get("experiment", {}), "experiment",
+                     scenario=scenario, pso=swarm_cfg)
 
 
 def read_config(path: str) -> dict:

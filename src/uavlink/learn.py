@@ -15,13 +15,13 @@ import json
 import math
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import pso
-from .geometry import Box, Scenario, dbm_to_mw, noise_power, require_integer, \
-    require_list, require_number, scenario_to_dict
+from .config import check_fields, require_number, scenario_to_dict, to_dict
+from .geometry import Box, Scenario, dbm_to_mw, noise_power
 from .links import RfDesign, Realization, shared_rf
 from .rates import PowerAlloc, scale_alloc
 
@@ -69,25 +69,19 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require_list(self.hidden_layers, "dnn.hidden_layers",
-                     item=require_integer)
-        for name in ("batch_size", "epochs", "seed"):
-            require_integer(getattr(self, name), f"dnn.{name}")
-        for name in ("learning_rate", "l2"):
-            require_number(getattr(self, name), f"dnn.{name}")
+        check_fields(self, "dnn")
         if self.loss not in ("mse", "mae"):
             raise ValueError("loss must be 'mse' or 'mae'")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch size must be >= 1 and epochs >= 0")
-
-
-def config_from_dict(section: dict) -> TrainConfig:
-    """The ``dnn`` config section as a TrainConfig; unknown fields are
-    errors."""
-    unknown = set(section) - {f.name for f in fields(TrainConfig)}
-    if unknown:
-        raise ValueError(f"unknown config field dnn.{sorted(unknown)[0]}")
-    return TrainConfig(**section)
+        if not all(width >= 1 for width in self.hidden_layers):
+            raise ValueError(f"dnn.hidden_layers entries must be positive, "
+                             f"got {self.hidden_layers}")
+        if self.learning_rate <= 0.0:
+            raise ValueError(f"dnn.learning_rate must be positive, "
+                             f"got {self.learning_rate!r}")
+        if self.seed < 0:
+            raise ValueError(f"dnn.seed must be nonnegative, got {self.seed}")
 
 
 def init_model(layer_sizes: list[int], seed) -> MlpModel:
@@ -258,6 +252,9 @@ def train(model: MlpModel, features: np.ndarray, labels: np.ndarray,
             val_pred = forward(model, val_features)
             row["val_mse"] = loss(val_pred, val_labels, "mse")
             row["val_mae"] = loss(val_pred, val_labels, "mae")
+        # a diverging last update passes every batch check above
+        if not all(np.isfinite(v) for v in row.values()):
+            raise NonfiniteLoss(f"loss diverged at epoch {epoch}")
         curves.append(row)
     return model, curves
 
@@ -399,8 +396,7 @@ def generate_dataset(scenario: Scenario, count: int, master_seed: int,
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    if not math.isfinite(p_t_dbm):
-        raise ValueError(f"p_t_dbm must be finite, got {p_t_dbm!r}")
+    require_number(p_t_dbm, "p_t_dbm")
     pso_cfg = pso_cfg or pso.PsoConfig()
     p_t_mw = dbm_to_mw(p_t_dbm)
     sigma2_mw = dbm_to_mw(noise_power(scenario))
@@ -408,7 +404,7 @@ def generate_dataset(scenario: Scenario, count: int, master_seed: int,
         "master_seed": int(master_seed),
         "p_t_dbm": float(p_t_dbm),
         "angle_model": angle_model,
-        "pso": pso.config_to_dict(pso_cfg),
+        "pso": to_dict(pso_cfg),
         "scenario": scenario_to_dict(scenario),
     }
     meta_path = out_path + ".meta.json"
@@ -481,8 +477,7 @@ def _check_resume(out_path: str, meta_path: str, existing: int,
                          "cannot tell which configuration wrote them")
     with open(meta_path) as fh:
         meta = json.load(fh)
-    # compare as JSON sees it: tuples are lists there
-    for name, value in json.loads(json.dumps(config)).items():
+    for name, value in config.items():
         old = meta.get(name)
         if old == value:
             continue

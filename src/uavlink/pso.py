@@ -16,11 +16,12 @@ stack of the realizations (:func:`uavlink.links.stack_realizations`).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box, require_integer, require_list, require_number
+from .config import check_fields
+from .geometry import Box
 from .links import Realization, stack_realizations
 
 
@@ -42,13 +43,7 @@ class PsoConfig:
     velocity_clip: tuple[float, float] = (-0.2, 0.2)
 
     def __post_init__(self):
-        require_integer(self.particles, "pso.particles")
-        require_integer(self.iterations, "pso.iterations")
-        for name in ("gamma1", "gamma2", "inertia"):
-            require_number(getattr(self, name), f"pso.{name}")
-        if self.inertia_schedule is not None:
-            require_list(self.inertia_schedule, "pso.inertia_schedule", 2)
-        require_list(self.velocity_clip, "pso.velocity_clip", 2)
+        check_fields(self, "pso")
         if self.particles < 1 or self.iterations < 0:
             raise ValueError("need at least one particle and >= 0 iterations")
         lo, hi = self.velocity_clip
@@ -61,21 +56,6 @@ class PsoConfig:
         upper, lower = self.inertia_schedule
         frac = iteration / max(self.iterations, 1)
         return upper - frac * (upper - lower)
-
-
-def config_to_dict(cfg: PsoConfig) -> dict:
-    """JSON form of every swarm setting (the config file's ``pso`` section)."""
-    return {name: list(value) if isinstance(value, tuple) else value
-            for name, value in asdict(cfg).items()}
-
-
-def config_from_dict(section: dict) -> PsoConfig:
-    """Inverse of :func:`config_to_dict`; unknown fields are errors."""
-    unknown = set(section) - {f.name for f in fields(PsoConfig)}
-    if unknown:
-        raise ValueError(f"unknown config field pso.{sorted(unknown)[0]}")
-    return PsoConfig(**{name: tuple(value) if isinstance(value, list) else value
-                        for name, value in section.items()})
 
 
 @dataclass

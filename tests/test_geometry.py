@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from uavlink.config import scenario_from_dict, scenario_to_dict
 from uavlink.geometry import (AngularSupport, Box, DegenerateGeometry,
                               OutOfBox, Position3D, Scenario, dbm_to_mw,
-                              distances, noise_power, place_users,
-                              scenario_from_dict, scenario_to_dict)
+                              distances, noise_power, place_users)
 
 
 def _tau(scenario, xy):

@@ -14,6 +14,7 @@ from uavlink.harness import (ExperimentSpec, config_hash, run, spec_from_dict,
 from uavlink.pso import PsoConfig
 
 FAST_PSO = PsoConfig(particles=5, iterations=5)
+NAN, INF = float("nan"), float("inf")
 
 
 def _small_spec(**overrides):
@@ -541,9 +542,29 @@ def test_cli_delay_rejects_a_negative_queue_size(tmp_path, capsys):
     ({"experiment": {"schemes": ["dnn"], "model_path": 3}},
      "experiment.model_path"),
     ({"dnn": {"epochs": 2.5}}, "dnn.epochs"),
+    ({"scenario": {"bandwidth_hz": 0}}, "scenario.bandwidth_hz"),
+    ({"scenario": {"bandwidth_hz": -1}}, "scenario.bandwidth_hz"),
+    ({"scenario": {"paths_first_link": 0}}, "scenario.paths_first_link"),
+    ({"scenario": {"paths_second_link": 0}}, "scenario.paths_second_link"),
+    ({"scenario": {"user_xy_range": [100, 50]}}, "scenario.user_xy_range"),
+    ({"scenario": {"noise_psd_dbm_hz": INF}}, "scenario.noise_psd_dbm_hz"),
+    ({"scenario": {"ref_pathloss_db": NAN}}, "scenario.ref_pathloss_db"),
+    ({"scenario": {"element_spacing": INF}}, "scenario.element_spacing"),
+    ({"scenario": {"bs_position": [0, 0, NAN]}}, "scenario.bs_position"),
+    ({"pso": {"gamma1": NAN}}, "pso.gamma1"),
+    ({"scenario": {"carrier_freq_hz": NAN}}, "scenario.carrier_freq_hz"),
+    ({"scenario": {"pathloss_exp": -1}}, "scenario.pathloss_exp"),
+    ({"experiment": {"grid_dx": INF}}, "experiment.grid_dx"),
+    ({"dnn": {"hidden_layers": [0]}}, "dnn.hidden_layers"),
+    ({"dnn": {"learning_rate": -1}}, "dnn.learning_rate"),
+    ({"dnn": {"learning_rate": NAN}}, "dnn.learning_rate"),
 ], ids=["bogus_field", "realizations", "workers", "workers_bool", "p_t_dbm",
         "seed", "group_sizes", "bs_position", "particles", "model_path",
-        "epochs"])
+        "epochs", "bandwidth_zero", "bandwidth_negative", "paths_first_link",
+        "paths_second_link", "user_xy_range", "noise_psd_inf",
+        "ref_pathloss_nan", "element_spacing_inf", "bs_position_nan",
+        "gamma1_nan", "carrier_nan", "pathloss_exp", "grid_dx_inf",
+        "hidden_layers", "learning_rate", "learning_rate_nan"])
 def test_cli_reports_errors_as_json(tmp_path, capsys, config, field):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(config))
@@ -599,6 +620,28 @@ def test_cli_rejects_a_misspelled_dnn_field(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "ValueError",
                    "message": "unknown config field dnn.hiden_layers"}
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--seed", "-1"], None),
+    ([], {"dnn": {"seed": -2}}),
+], ids=["seed_flag", "seed_field"])
+def test_cli_train_refuses_a_negative_seed(tmp_path, capsys, argv, config):
+    data = tmp_path / "tiny.jsonl"
+    rows = [{"index": i, "features": [0.1, 0.2], "labels": [0.5, 0.5, 0.5]}
+            for i in range(3)]
+    data.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", str(tmp_path / "cfg.json")]
+    model = tmp_path / "m.npz"
+    code = cli.main(["train", "--dataset", str(data), "--test-count", "1",
+                     "--out", str(model)] + argv)
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith("dnn.seed must be nonnegative")
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("command", [

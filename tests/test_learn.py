@@ -7,7 +7,8 @@ import pytest
 
 from uavlink import learn
 from uavlink.geometry import Box, Scenario
-from uavlink.learn import (DegenerateInput, ShapeMismatch, TrainConfig, backprop,
+from uavlink.learn import (DegenerateInput, NonfiniteLoss, ShapeMismatch,
+                           TrainConfig, backprop,
                            build_features, build_labels, forward,
                            generate_dataset, init_model,
                            load_dataset, load_model, loss, penalized_loss,
@@ -128,6 +129,19 @@ def test_train_rejects_bad_shapes():
         TrainConfig(loss="huber")
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+
+
+def test_train_refuses_a_model_that_diverges_in_its_last_update():
+    # one batch per epoch: the batch loss is finite before the only update
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(20, 6))
+    target = learn._sigmoid(x @ rng.normal(size=(4, 6)).T)
+    model = init_model([6, 16, 8, 4], seed=3)
+    cfg = TrainConfig(hidden_layers=[16, 8], epochs=1, batch_size=32,
+                      learning_rate=1e300, seed=3)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonfiniteLoss, match="loss diverged at epoch 1$"):
+        train(model, x, target, cfg, x[:5], target[:5])
 
 
 def test_feature_layout_and_scaling():
