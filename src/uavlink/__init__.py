@@ -7,8 +7,7 @@ from .geometry import (AngularSupport, Box, DegenerateGeometry, OutOfBox,
 from .channel import ChannelPair, PathSet
 from .beamforming import (EmptySupport, HbfStages, OverlappingSupports,
                           QuantizedPair, RankDeficient, SingularSystem)
-from .rates import (AllZeroAlloc, NumericalFailure, PowerAlloc, RateReport,
-                    ZeroPrecoder)
+from .rates import AllZeroAlloc, NumericalFailure, PowerAlloc, RateReport
 from .links import Realization, make_realization
 from .pso import GridResult, PsoConfig, SolveResult
 from .relay import BufferPolicy, ZeroRate, little_delay

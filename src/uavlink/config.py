@@ -158,11 +158,12 @@ def scenario_from_dict(cfg: dict) -> Scenario:
             ("user_xy_range", "user_xy_range", 2, lambda *lo_hi: lo_hi)):
         if key in cfg:
             require_list(cfg[key], f"scenario.{key}", length)
-            kwargs[attr] = build(*cfg[key])
+            kwargs[attr] = _named(build, cfg[key], f"scenario.{key}")
     if cfg.get("users") is not None:
         require_list(cfg["users"], "scenario.users",
                      item=lambda u, name: require_list(u, name, 3))
-        kwargs["users"] = [Position3D(*u) for u in cfg["users"]]
+        kwargs["users"] = [_named(Position3D, u, f"scenario.users[{i}]")
+                           for i, u in enumerate(cfg["users"])]
     if "first_link_supports_deg" in cfg:
         name = "scenario.first_link_supports_deg"
         pair = cfg["first_link_supports_deg"]
@@ -197,6 +198,15 @@ def scenario_to_dict(s: Scenario) -> dict:
     }
 
 
+def _named(build, args, name: str):
+    """``build(*args)``, its refusal of the values prefixed with their
+    config field ``name``."""
+    try:
+        return build(*args)
+    except ValueError as err:
+        raise type(err)(f"{name}: {err}") from None
+
+
 def _xyz(p: Position3D) -> list[float]:
     return [p.x, p.y, p.z]
 
@@ -211,4 +221,5 @@ def _support_from_deg(d: dict, name: str) -> AngularSupport:
     _check_keys(d, _SUPPORT_KEYS, name, _SUPPORT_KEYS)
     for key in _SUPPORT_KEYS:
         require_number(d[key], f"{name}.{key}")
-    return AngularSupport(*(math.radians(float(d[k])) for k in _SUPPORT_KEYS))
+    return _named(AngularSupport,
+                  [math.radians(float(d[k])) for k in _SUPPORT_KEYS], name)

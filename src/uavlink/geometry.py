@@ -156,7 +156,8 @@ class Scenario:
                                  f"got {list(getattr(self, name))}")
         if self.users is not None and len(self.users) != self.num_users:
             raise ValueError(
-                f"{len(self.users)} users given but group sizes sum to {self.num_users}")
+                f"scenario.users gives {len(self.users)} users but "
+                f"scenario.group_sizes sums to {self.num_users}")
         for name in ("carrier_freq_hz", "bandwidth_hz", "pathloss_exp",
                      "element_spacing", "paths_first_link", "paths_second_link"):
             if not getattr(self, name) > 0:
@@ -168,14 +169,26 @@ class Scenario:
         if self.group_supports is None:
             self.group_supports = default_group_supports(self.num_groups)
         if len(self.group_supports) != self.num_groups:
-            raise ValueError("one angular support required per group")
+            raise ValueError(
+                f"scenario.group_supports_deg_full gives "
+                f"{len(self.group_supports)} angular supports for "
+                f"{self.num_groups} groups; one is required per group")
         if not self.box.contains((self.uav.x, self.uav.y)):
-            raise OutOfBox("default UAV position outside deployment box")
-        k = self.num_users
-        if self.rf_budget_bs < k or self.rf_budget_uav_rx < k:
-            raise ValueError("first-link RF budgets must be at least the user count")
-        if any(self.rf_budget_uav_tx_per_group < kg for kg in self.group_sizes):
-            raise ValueError("per-group transmit RF budget must cover the group size")
+            b = self.box
+            raise OutOfBox(
+                f"scenario.uav_position ({self.uav.x}, {self.uav.y}) lies "
+                f"outside scenario.deployment_box "
+                f"[{b.x_min}, {b.y_min}, {b.x_max}, {b.y_max}]")
+        for name in ("rf_budget_bs", "rf_budget_uav_rx"):
+            if getattr(self, name) < self.num_users:
+                raise ValueError(
+                    f"scenario.{name} must be at least the user count "
+                    f"{self.num_users}, got {getattr(self, name)}")
+        largest = max(self.group_sizes, default=0)
+        if self.rf_budget_uav_tx_per_group < largest:
+            raise ValueError(
+                f"scenario.rf_budget_uav_tx_per_group must cover the largest "
+                f"group, {largest} users, got {self.rf_budget_uav_tx_per_group}")
 
     @property
     def num_users(self) -> int:

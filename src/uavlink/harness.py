@@ -63,7 +63,8 @@ class ExperimentSpec:
         if len(set(self.p_t_dbm)) != len(self.p_t_dbm):
             raise ValueError("experiment.p_t_dbm lists a power twice")
         if self.realizations < 1:
-            raise ValueError("need at least one realization")
+            raise ValueError(f"experiment.realizations needs at least one "
+                             f"realization, got {self.realizations}")
         if self.seed < 0:
             raise ValueError(f"experiment.seed must be nonnegative, got {self.seed}")
         if self.workers < 1:

@@ -23,7 +23,7 @@ from . import pso
 from .config import check_fields, require_number, scenario_to_dict, to_dict
 from .geometry import Box, Scenario, dbm_to_mw, noise_power
 from .links import RfDesign, Realization, shared_rf
-from .rates import PowerAlloc, scale_alloc
+from .rates import PowerAlloc, precoder_gains, scale_alloc
 
 
 class ShapeMismatch(ValueError):
@@ -44,10 +44,6 @@ class MlpModel:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-
-    @property
-    def layer_sizes(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
     @property
     def input_dim(self) -> int:
@@ -72,8 +68,12 @@ class TrainConfig:
         check_fields(self, "dnn")
         if self.loss not in ("mse", "mae"):
             raise ValueError("loss must be 'mse' or 'mae'")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch size must be >= 1 and epochs >= 0")
+        if self.batch_size < 1:
+            raise ValueError(f"dnn.batch_size must be at least 1, "
+                             f"got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"dnn.epochs must be nonnegative, "
+                             f"got {self.epochs}")
         if not all(width >= 1 for width in self.hidden_layers):
             raise ValueError(f"dnn.hidden_layers entries must be positive, "
                              f"got {self.hidden_layers}")
@@ -144,11 +144,15 @@ def loss(pred: np.ndarray, target: np.ndarray, mode: str = "mse") -> float:
     return float(np.mean(per_sample))
 
 
+def _penalty(model: MlpModel, l2: float) -> float:
+    """l2 * sum of squared weights (biases exempt)."""
+    return l2 * sum(float(np.sum(w ** 2)) for w in model.weights)
+
+
 def penalized_loss(model: MlpModel, x: np.ndarray, target: np.ndarray,
                    mode: str, l2: float) -> float:
     """Decision loss plus l2 * sum of squared weights (biases exempt)."""
-    penalty = l2 * sum(float(np.sum(w ** 2)) for w in model.weights)
-    return loss(forward(model, x), target, mode) + penalty
+    return loss(forward(model, x), target, mode) + _penalty(model, l2)
 
 
 def backprop(model: MlpModel, x: np.ndarray, target: np.ndarray,
@@ -169,14 +173,10 @@ def backprop(model: MlpModel, x: np.ndarray, target: np.ndarray,
     z_out = a @ model.weights[-1].T + model.biases[-1]
     y = _sigmoid(z_out)
 
+    data_loss = loss(y, target, mode)
     wvec = _error_weights(y.shape[1])
     err = y - target
-    if mode == "mse":
-        data_loss = float(np.mean((err ** 2) @ wvec))
-        dy = 2.0 * wvec * err / n
-    else:
-        data_loss = float(np.mean(np.abs(err) @ wvec))
-        dy = wvec * np.sign(err) / n
+    dy = (2.0 * wvec * err if mode == "mse" else wvec * np.sign(err)) / n
     dz = dy * y * (1.0 - y)
 
     grads_w = [None] * len(model.weights)
@@ -186,17 +186,7 @@ def backprop(model: MlpModel, x: np.ndarray, target: np.ndarray,
         grads_b[i] = dz.sum(axis=0)
         if i > 0:
             dz = (dz @ model.weights[i]) * (pre[i - 1] > 0.0)
-    penalty = l2 * sum(float(np.sum(w ** 2)) for w in model.weights)
-    return data_loss + penalty, grads_w, grads_b
-
-
-@dataclass
-class _AdamState:
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
-    t: int = 0
+    return data_loss + _penalty(model, l2), grads_w, grads_b
 
 
 def train(model: MlpModel, features: np.ndarray, labels: np.ndarray,
@@ -217,11 +207,10 @@ def train(model: MlpModel, features: np.ndarray, labels: np.ndarray,
             f"labels have {labels.shape[1]} slots, model emits {model.output_dim}")
     rng = np.random.default_rng(cfg.seed)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    state = _AdamState(
-        m_w=[np.zeros_like(w) for w in model.weights],
-        v_w=[np.zeros_like(w) for w in model.weights],
-        m_b=[np.zeros_like(b) for b in model.biases],
-        v_b=[np.zeros_like(b) for b in model.biases])
+    params = model.weights + model.biases
+    m = [np.zeros_like(param) for param in params]    # first moments
+    v = [np.zeros_like(param) for param in params]    # second moments
+    step = 0
     curves = []
     n = len(features)
     for epoch in range(1, cfg.epochs + 1):
@@ -232,20 +221,15 @@ def train(model: MlpModel, features: np.ndarray, labels: np.ndarray,
                                           cfg.loss, cfg.l2)
             if not np.isfinite(batch_loss):
                 raise NonfiniteLoss(f"loss diverged at epoch {epoch}")
-            state.t += 1
-            correct1 = 1.0 - beta1 ** state.t
-            correct2 = 1.0 - beta2 ** state.t
-            for i in range(len(model.weights)):
-                state.m_w[i] = beta1 * state.m_w[i] + (1 - beta1) * gw[i]
-                state.v_w[i] = beta2 * state.v_w[i] + (1 - beta2) * gw[i] ** 2
-                model.weights[i] -= cfg.learning_rate * (
-                    state.m_w[i] / correct1) / (
-                    np.sqrt(state.v_w[i] / correct2) + eps)
-                state.m_b[i] = beta1 * state.m_b[i] + (1 - beta1) * gb[i]
-                state.v_b[i] = beta2 * state.v_b[i] + (1 - beta2) * gb[i] ** 2
-                model.biases[i] -= cfg.learning_rate * (
-                    state.m_b[i] / correct1) / (
-                    np.sqrt(state.v_b[i] / correct2) + eps)
+            step += 1
+            correct1 = 1.0 - beta1 ** step
+            correct2 = 1.0 - beta2 ** step
+            for i, (param, grad) in enumerate(zip(params, gw + gb)):
+                m[i] = beta1 * m[i] + (1 - beta1) * grad
+                v[i] = beta2 * v[i] + (1 - beta2) * grad ** 2
+                # in place, so the model's own arrays move
+                param -= cfg.learning_rate * (m[i] / correct1) / (
+                    np.sqrt(v[i] / correct2) + eps)
         row = {"epoch": epoch,
                "train_loss": loss(forward(model, features), labels, cfg.loss)}
         if val_features is not None:
@@ -275,11 +259,10 @@ def build_features(h2_rows: np.ndarray, b_ut: np.ndarray) -> np.ndarray:
     if b_ut.shape[1] != k:
         raise ShapeMismatch(
             f"{k} users in the channel rows but {b_ut.shape[1]} precoder columns")
-    ch_block = np.concatenate(
-        [np.concatenate([h2_rows[i].real, h2_rows[i].imag]) for i in range(k)])
-    pc_block = np.concatenate(
-        [np.concatenate([b_ut[:, i].real, b_ut[:, i].imag]) for i in range(k)])
-    gains = np.sum(np.abs(b_ut) ** 2, axis=0)
+    # user i's [Re, Im] block, then user i + 1's
+    ch_block = np.hstack([h2_rows.real, h2_rows.imag]).ravel()
+    pc_block = np.hstack([b_ut.T.real, b_ut.T.imag]).ravel()
+    gains = precoder_gains(b_ut)
     ch_max = np.max(np.abs(ch_block)) if ch_block.size else 0.0
     pc_max = np.max(np.abs(pc_block)) if pc_block.size else 0.0
     if ch_max == 0.0 or pc_max == 0.0 or np.any(gains <= 0.0):

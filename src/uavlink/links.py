@@ -262,10 +262,7 @@ class Realization:
                 ) -> rates.RateReport:
         """One-position rate report through the reference formulas."""
         stages = self.stages_at(xy, p_t_mw, sigma2_mw)
-        if p_hat is None:
-            alloc = rates.equal_alloc(stages.b_ut, p_t_mw)
-        else:
-            alloc = rates.scale_alloc(p_hat, stages.b_ut, p_t_mw)
+        alloc = rates.scale_alloc(p_hat, stages.b_ut, p_t_mw)
         return rates.rate_report(stages, alloc, sigma2_mw)
 
     def channel_pair_at(self, xy) -> ch.ChannelPair:

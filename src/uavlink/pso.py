@@ -44,11 +44,16 @@ class PsoConfig:
 
     def __post_init__(self):
         check_fields(self, "pso")
-        if self.particles < 1 or self.iterations < 0:
-            raise ValueError("need at least one particle and >= 0 iterations")
+        if self.particles < 1:
+            raise ValueError(f"pso.particles must be at least 1, "
+                             f"got {self.particles}")
+        if self.iterations < 0:
+            raise ValueError(f"pso.iterations must be nonnegative, "
+                             f"got {self.iterations}")
         lo, hi = self.velocity_clip
         if not lo < hi:
-            raise ValueError("velocity clip interval is empty")
+            raise ValueError(f"pso.velocity_clip must be increasing, "
+                             f"got {list(self.velocity_clip)}")
 
     def inertia_at(self, iteration: int) -> float:
         if self.inertia_schedule is None:

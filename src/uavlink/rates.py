@@ -24,10 +24,6 @@ class AllZeroAlloc(ValueError):
     """Power scaling requested for an allocation with no power anywhere."""
 
 
-class ZeroPrecoder(ValueError):
-    """Digital precoder has zero total gain, equal-power scaling undefined."""
-
-
 @dataclass
 class PowerAlloc:
     """Per-user transmit powers in mW; P = diag(sqrt(p))."""
@@ -112,36 +108,33 @@ def precoder_gains(b_ut: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(b_ut) ** 2, axis=0)
 
 
-def kappa(p_hat: np.ndarray, b_ut: np.ndarray, p_t_mw: float) -> float:
+def kappa(p_hat: np.ndarray | None, b_ut: np.ndarray, p_t_mw: float
+          ) -> float:
     """Scale factor kappa making the allocation meet the power budget
-    with equality: sum_k (kappa^2 p_hat_k) b_k^H b_k = P_T."""
-    p_hat = np.asarray(p_hat, dtype=float)
-    if np.any(p_hat < 0.0):
-        raise ValueError("relative powers must be nonnegative")
-    weighted = float(p_hat @ precoder_gains(b_ut))
+    with equality: sum_k (kappa^2 p_hat_k) b_k^H b_k = P_T. ``p_hat`` None
+    means equal relative powers."""
+    gains = precoder_gains(b_ut)
+    if p_hat is None:
+        # a sum, not a dot with ones: the two differ in the last bit
+        weighted = float(np.sum(gains))
+    else:
+        p_hat = np.asarray(p_hat, dtype=float)
+        if np.any(p_hat < 0.0):
+            raise ValueError("relative powers must be nonnegative")
+        weighted = float(p_hat @ gains)
     if weighted <= 0.0:
         raise AllZeroAlloc("allocation carries no power on any active column")
     return math.sqrt(p_t_mw / weighted)
 
 
-def scale_alloc(p_hat: np.ndarray, b_ut: np.ndarray, p_t_mw: float
+def scale_alloc(p_hat: np.ndarray | None, b_ut: np.ndarray, p_t_mw: float
                 ) -> PowerAlloc:
-    """Budget-normalized allocation kappa^2 * p_hat."""
+    """Budget-normalized allocation kappa^2 * p_hat; ``p_hat`` None means
+    equal powers."""
     k = kappa(p_hat, b_ut, p_t_mw)
+    if p_hat is None:
+        p_hat = np.ones(b_ut.shape[1])
     return PowerAlloc(k ** 2 * np.asarray(p_hat, dtype=float))
-
-
-def equal_power_eps(b_ut: np.ndarray, p_t_mw: float) -> float:
-    """Uniform power level eps with sum_k eps^2 b_k^H b_k = P_T."""
-    total = float(np.sum(precoder_gains(b_ut)))
-    if total <= 0.0:
-        raise ZeroPrecoder("digital precoder has zero total gain")
-    return math.sqrt(p_t_mw / total)
-
-
-def equal_alloc(b_ut: np.ndarray, p_t_mw: float) -> PowerAlloc:
-    eps = equal_power_eps(b_ut, p_t_mw)
-    return PowerAlloc(np.full(b_ut.shape[1], eps ** 2))
 
 
 def rate_report(stages: HbfStages, alloc: PowerAlloc, sigma2_mw: float

@@ -15,6 +15,8 @@ from uavlink.pso import PsoConfig
 
 FAST_PSO = PsoConfig(particles=5, iterations=5)
 NAN, INF = float("nan"), float("inf")
+_SUPPORT_DEG = {"mean_elev_deg": 60.0, "mean_azim_deg": 120.0,
+                "spread_elev_deg": 10.0, "spread_azim_deg": 10.0}
 
 
 def _small_spec(**overrides):
@@ -558,13 +560,40 @@ def test_cli_delay_rejects_a_negative_queue_size(tmp_path, capsys):
     ({"dnn": {"hidden_layers": [0]}}, "dnn.hidden_layers"),
     ({"dnn": {"learning_rate": -1}}, "dnn.learning_rate"),
     ({"dnn": {"learning_rate": NAN}}, "dnn.learning_rate"),
+    ({"scenario": {"bs_position": [0, 0, -1]}}, "scenario.bs_position"),
+    ({"scenario": {"users": [[60, 60, 0], [70, 70, -1], [80, 80, 0],
+                             [90, 90, 0]]}}, "scenario.users[1]"),
+    ({"scenario": {"users": [[60, 60, 0], [70, 70, 0], [80, 80, 0]]}},
+     "scenario.users"),
+    ({"scenario": {"deployment_box": [0, 0, -5, 100]}},
+     "scenario.deployment_box"),
+    ({"scenario": {"first_link_supports_deg": {
+        "tx": _SUPPORT_DEG | {"mean_elev_deg": 175.0}, "rx": _SUPPORT_DEG}}},
+     "scenario.first_link_supports_deg.tx"),
+    ({"scenario": {"group_supports_deg_full": [_SUPPORT_DEG]}},
+     "scenario.group_supports_deg_full"),
+    ({"scenario": {"rf_budget_bs": 2}}, "scenario.rf_budget_bs"),
+    ({"scenario": {"rf_budget_uav_rx": 3}}, "scenario.rf_budget_uav_rx"),
+    ({"scenario": {"rf_budget_uav_tx_per_group": 1}},
+     "scenario.rf_budget_uav_tx_per_group"),
+    ({"pso": {"particles": 0}}, "pso.particles"),
+    ({"pso": {"iterations": -1}}, "pso.iterations"),
+    ({"pso": {"velocity_clip": [0.2, -0.2]}}, "pso.velocity_clip"),
+    ({"dnn": {"batch_size": 0}}, "dnn.batch_size"),
+    ({"dnn": {"epochs": -1}}, "dnn.epochs"),
+    ({"experiment": {"realizations": 0}}, "experiment.realizations"),
 ], ids=["bogus_field", "realizations", "workers", "workers_bool", "p_t_dbm",
         "seed", "group_sizes", "bs_position", "particles", "model_path",
         "epochs", "bandwidth_zero", "bandwidth_negative", "paths_first_link",
         "paths_second_link", "user_xy_range", "noise_psd_inf",
         "ref_pathloss_nan", "element_spacing_inf", "bs_position_nan",
         "gamma1_nan", "carrier_nan", "pathloss_exp", "grid_dx_inf",
-        "hidden_layers", "learning_rate", "learning_rate_nan"])
+        "hidden_layers", "learning_rate", "learning_rate_nan",
+        "bs_altitude", "user_altitude", "user_count", "box_extent",
+        "support_elevation", "group_support_count", "rf_budget_bs",
+        "rf_budget_uav_rx", "rf_budget_per_group", "particles_zero",
+        "iterations_negative", "velocity_clip", "batch_size_zero",
+        "epochs_negative", "realizations_zero"])
 def test_cli_reports_errors_as_json(tmp_path, capsys, config, field):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(config))
@@ -574,6 +603,19 @@ def test_cli_reports_errors_as_json(tmp_path, capsys, config, field):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValueError"
     assert field in err["message"]
+    assert not out_dir.exists()
+
+
+def test_cli_names_the_uav_position_outside_the_box(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"scenario": {"uav_position": [150, 50, 20]}}))
+    out_dir = tmp_path / "run"
+    code = cli.main(["run", "--config", str(bad), "--out", str(out_dir)])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "OutOfBox"
+    assert "scenario.uav_position" in err["message"]
+    assert "scenario.deployment_box" in err["message"]
     assert not out_dir.exists()
 
 

@@ -26,7 +26,6 @@ def feature_length(num_users: int, n_t: int, n_rf: int) -> int:
 
 def test_init_model_shapes_and_bounds():
     model = init_model([6, 5, 4], seed=0)
-    assert model.layer_sizes == [6, 5, 4]
     assert model.input_dim == 6 and model.output_dim == 4
     assert model.weights[0].shape == (5, 6)
     assert np.max(np.abs(model.weights[0])) <= 1.0 / np.sqrt(6)
@@ -100,6 +99,71 @@ def test_backprop_matches_finite_differences(mode):
         assert gb[li][0] == pytest.approx(fd, abs=1e-6)
 
 
+@pytest.mark.parametrize("mode", ["mse", "mae"])
+def test_backprop_value_matches_the_inline_oracle_exactly(mode):
+    # the data loss and the L2 penalty backprop once wrote inline
+    rng = np.random.default_rng(8)
+    model = init_model([5, 6, 4], seed=8)
+    x = rng.normal(size=(9, 5))
+    target = rng.uniform(0.1, 0.9, size=(9, 4))
+    l2 = 1e-3
+    err = forward(model, x) - target
+    wvec = learn._error_weights(4)
+    per_sample = (err ** 2) @ wvec if mode == "mse" else np.abs(err) @ wvec
+    oracle = (float(np.mean(per_sample))
+              + l2 * sum(float(np.sum(w ** 2)) for w in model.weights))
+    assert backprop(model, x, target, mode, l2)[0] == oracle
+
+
+def _per_layer_adam(model, features, labels, cfg):
+    """Minibatch Adam as the trainer once wrote it: separate moments for
+    weights and biases, updated layer by layer."""
+    rng = np.random.default_rng(cfg.seed)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m_w = [np.zeros_like(w) for w in model.weights]
+    v_w = [np.zeros_like(w) for w in model.weights]
+    m_b = [np.zeros_like(b) for b in model.biases]
+    v_b = [np.zeros_like(b) for b in model.biases]
+    t = 0
+    n = len(features)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            _, gw, gb = backprop(model, features[idx], labels[idx],
+                                 cfg.loss, cfg.l2)
+            t += 1
+            correct1 = 1.0 - beta1 ** t
+            correct2 = 1.0 - beta2 ** t
+            for i in range(len(model.weights)):
+                m_w[i] = beta1 * m_w[i] + (1 - beta1) * gw[i]
+                v_w[i] = beta2 * v_w[i] + (1 - beta2) * gw[i] ** 2
+                model.weights[i] -= cfg.learning_rate * (m_w[i] / correct1) / (
+                    np.sqrt(v_w[i] / correct2) + eps)
+                m_b[i] = beta1 * m_b[i] + (1 - beta1) * gb[i]
+                v_b[i] = beta2 * v_b[i] + (1 - beta2) * gb[i] ** 2
+                model.biases[i] -= cfg.learning_rate * (m_b[i] / correct1) / (
+                    np.sqrt(v_b[i] / correct2) + eps)
+    return model
+
+
+@pytest.mark.parametrize("mode", ["mse", "mae"])
+def test_adam_step_matches_the_per_layer_oracle_exactly(mode):
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(37, 5))      # the last minibatch is a short one
+    target = rng.uniform(0.1, 0.9, size=(37, 4))
+    cfg = TrainConfig(hidden_layers=[7, 6], epochs=2, batch_size=8,
+                      learning_rate=1e-2, l2=1e-3, loss=mode, seed=4)
+    trained, _ = train(init_model([5, 7, 6, 4], seed=4), x, target, cfg)
+    oracle = _per_layer_adam(init_model([5, 7, 6, 4], seed=4), x, target, cfg)
+    start = init_model([5, 7, 6, 4], seed=4)
+    for got, want, initial in zip(trained.weights + trained.biases,
+                                  oracle.weights + oracle.biases,
+                                  start.weights + start.biases):
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, initial)
+
+
 def test_training_reduces_loss_on_synthetic_task():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(200, 6))
@@ -158,6 +222,31 @@ def test_feature_layout_and_scaling():
     lo = 2 * (n_t + n_rf) * k
     assert np.allclose(feats[lo:lo + k], gains / gains.max())
     assert np.allclose(feats[lo + k:], gains.min() / gains)
+
+
+def _per_user_features(h2_rows, b_ut):
+    """build_features' vector as once assembled user by user."""
+    k = h2_rows.shape[0]
+    ch_block = np.concatenate(
+        [np.concatenate([h2_rows[i].real, h2_rows[i].imag]) for i in range(k)])
+    pc_block = np.concatenate(
+        [np.concatenate([b_ut[:, i].real, b_ut[:, i].imag]) for i in range(k)])
+    gains = np.sum(np.abs(b_ut) ** 2, axis=0)
+    w1 = 1.0 / np.max(np.abs(ch_block))
+    w2 = 1.0 / np.max(np.abs(pc_block))
+    w3 = 1.0 / np.max(gains)
+    w4 = np.min(gains)
+    return np.concatenate([w1 * ch_block, w2 * pc_block,
+                           w3 * gains, w4 / gains])
+
+
+@pytest.mark.parametrize("k, n_t, n_rf", [(1, 8, 3), (3, 5, 7), (4, 16, 6)])
+def test_feature_order_matches_the_per_user_oracle_exactly(k, n_t, n_rf):
+    rng = np.random.default_rng(k)
+    h2 = rng.normal(size=(k, n_t)) + 1j * rng.normal(size=(k, n_t))
+    b_ut = rng.normal(size=(n_rf, k)) + 1j * rng.normal(size=(n_rf, k))
+    assert np.array_equal(build_features(h2, b_ut),
+                          _per_user_features(h2, b_ut))
 
 
 def test_feature_errors():

@@ -39,7 +39,7 @@ def test_equal_power_batch_matches_eps_scaling(desk_realization, p20_mw,
     xy = np.array([40.0, 60.0])
     batch = rlz.evaluate_batch(xy[None, :], p20_mw, desk_sigma2, None)
     stages = rlz.stages_at(xy, p20_mw, desk_sigma2)
-    alloc = rates.equal_alloc(stages.b_ut, p20_mw)
+    alloc = rates.scale_alloc(None, stages.b_ut, p20_mw)
     assert np.allclose(batch.alloc_mw[0], alloc.p, rtol=1e-9)
 
 

@@ -133,9 +133,9 @@ def test_kappa_scaling_meets_budget_with_equality():
 
 def test_equal_power_unit_columns():
     b_ut = np.eye(4, dtype=complex)
-    eps = rates.equal_power_eps(b_ut, 16.0)
+    eps = rates.kappa(None, b_ut, 16.0)
     assert eps == pytest.approx(2.0, rel=1e-12)
-    alloc = rates.equal_alloc(b_ut, 16.0)
+    alloc = rates.scale_alloc(None, b_ut, 16.0)
     assert np.allclose(alloc.p, 4.0)
 
 
@@ -143,16 +143,31 @@ def test_equal_power_equals_kappa_with_uniform_relative_powers():
     rng = np.random.default_rng(9)
     b_ut = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     p_t = 77.0
-    eps = rates.equal_power_eps(b_ut, p_t)
+    eps = rates.kappa(None, b_ut, p_t)
     alloc = rates.scale_alloc(np.ones(3), b_ut, p_t)
     assert np.allclose(alloc.p, eps ** 2, rtol=1e-12)
+
+
+def test_equal_alloc_matches_the_uniform_level_exactly():
+    # the equal-power formula scale_alloc(None, ...) replaced: one level
+    # eps with sum_k eps^2 b_k^H b_k = P_T, from a plain sum of the gains
+    rng = np.random.default_rng(10)
+    for _ in range(200):
+        k, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        b_ut = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        p_t = float(rng.uniform(0.1, 500.0))
+        gains = np.sum(np.abs(b_ut) ** 2, axis=0)
+        oracle = np.full(k, math.sqrt(p_t / np.sum(gains)) ** 2)
+        assert np.array_equal(rates.scale_alloc(None, b_ut, p_t).p, oracle)
+    with pytest.raises(rates.AllZeroAlloc):
+        rates.scale_alloc(None, np.zeros((3, 2), dtype=complex), 10.0)
 
 
 def test_degenerate_scaling_inputs_raise():
     with pytest.raises(rates.AllZeroAlloc):
         rates.kappa(np.zeros(3), np.eye(3, dtype=complex), 10.0)
-    with pytest.raises(rates.ZeroPrecoder):
-        rates.equal_power_eps(np.zeros((3, 3), dtype=complex), 10.0)
+    with pytest.raises(rates.AllZeroAlloc):
+        rates.kappa(None, np.zeros((3, 3), dtype=complex), 10.0)
     with pytest.raises(ValueError):
         rates.PowerAlloc(np.array([1.0, -0.1]))
 
@@ -194,7 +209,7 @@ def test_rates_invariant_to_common_power_noise_rescale():
 def test_rate_report_takes_bottleneck_half():
     rng = np.random.default_rng(13)
     stages = random_stages(rng)
-    alloc = rates.equal_alloc(stages.b_ut, 100.0)
+    alloc = rates.scale_alloc(None, stages.b_ut, 100.0)
     report = rates.rate_report(stages, alloc, 1e-6)
     assert report.r_total == pytest.approx(0.5 * min(report.r1, report.r2))
     assert report.sinr.shape == (3,)

@@ -1,9 +1,12 @@
-"""Every public function and class of the package has a user.
+"""Every public function, class, method and property of the package has a
+user.
 
 A user is a reference in the package itself, in the bench (``perfbench``)
 or in the acceptance suite. Unit tests alone do not count, and neither does
 an export from ``uavlink/__init__.py``: a helper only they reach belongs in
-the tests or nowhere.
+the tests or nowhere. A method or property is reached as an attribute
+(``rlz.rate_at``) or by a dotted-name string; a bare name of the same
+spelling, such as a parameter, does not reach it.
 """
 
 import ast
@@ -22,14 +25,24 @@ def _public_definitions(path: pathlib.Path) -> list[str]:
             and not node.name.startswith("_")]
 
 
-def _referenced_names(path: pathlib.Path) -> set[str]:
-    """Names read or called, attributes, and the parts of dotted-name
-    strings such as the tracer's ``"pso.solve_joint"``; an import alone is
-    not a reference."""
+def _public_members(path: pathlib.Path) -> list[str]:
+    """``Class.member`` of each public method and property of the classes
+    defined at the top of ``path``."""
+    return [f"{cls.name}.{node.name}" for cls in ast.parse(path.read_text()).body
+            if isinstance(cls, ast.ClassDef) for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")]
+
+
+def _referenced_names(path: pathlib.Path, bare: bool = True) -> set[str]:
+    """Names read or called (unless not ``bare``), attributes, and the parts
+    of dotted-name strings such as the tracer's ``"pso.solve_joint"``; an
+    import alone is not a reference."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            if bare:
+                names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
@@ -42,4 +55,13 @@ def test_every_public_name_has_a_user_outside_the_unit_tests():
     referenced = set().union(*map(_referenced_names, USERS))
     unused = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
               for name in _public_definitions(path) if name not in referenced]
+    assert unused == []
+
+
+def test_every_public_method_and_property_has_a_user_outside_the_unit_tests():
+    referenced = set().union(*(_referenced_names(path, bare=False)
+                               for path in USERS))
+    unused = [f"{path.stem}.{member}" for path in sorted(PACKAGE.glob("*.py"))
+              for member in _public_members(path)
+              if member.split(".")[1] not in referenced]
     assert unused == []
