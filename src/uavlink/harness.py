@@ -2,14 +2,19 @@
 
 Realization i of a run is rebuilt from SeedSequence([seed, i]) and solver
 calls get their own substreams keyed by (seed, i, scheme, power index), so
-results depend only on the configuration and seed, never on worker count or
-completion order. Result CSVs are byte-stable for that reason; wall times
-go to the run manifest, which is allowed to differ between runs.
+results depend only on the configuration and seed, never on worker count,
+block size or completion order. Realizations run in blocks of consecutive
+indices (:func:`uavlink.schedule.map_blocks`): each swarm scheme makes one
+stacked solve per block, with one swarm per (realization, power), and
+each stacked swarm equals the same swarm run alone. Result CSVs are
+byte-stable for that reason; wall times go to the run manifest, which is
+allowed to differ between runs.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -26,6 +31,7 @@ from .config import check_fields, from_dict, require_number, \
     scenario_from_dict, scenario_to_dict, to_dict
 from .geometry import Scenario, dbm_to_mw, noise_power
 from .links import RfDesign, Realization, shared_rf
+from .schedule import map_blocks
 
 SCHEMES = ("fl_eqpa", "psopa_fl", "psol_eqpa", "psolpa", "exhaustive", "dnn")
 _SCHEME_CODE = {name: i for i, name in enumerate(SCHEMES)}
@@ -121,20 +127,25 @@ def _apply_scheme(rlz: Realization, scheme: str, p_t_mw: float,
     return xy, rlz.rate_at(xy, p_t_mw, sigma2_mw, p_hat)
 
 
-def _swarm_decisions(rlz: Realization, scheme: str, p_t_mw: list[float],
-                     sigma2_mw: float, spec: ExperimentSpec, index: int
-                     ) -> list[tuple]:
-    """(xy, p_hat) of a swarm scheme at every power of the sweep, from one
-    stacked solve with one swarm (and one seed) per power."""
+def _swarm_decisions(rlzs: list[Realization], scheme: str,
+                     p_t_mw: list[float], sigma2_mw: float,
+                     spec: ExperimentSpec, block: range) -> list[tuple]:
+    """(xy, p_hat) of a swarm scheme on every realization of ``block`` at
+    every power of the sweep, realization-major, from one stacked solve
+    with one swarm (and one seed) per (realization, power)."""
     seeds = [_solver_seed(spec, index, scheme, pt_index)
-             for pt_index in range(len(p_t_mw))]
+             for index in block for pt_index in range(len(p_t_mw))]
+    swarm_rlzs = [rlz for rlz in rlzs for _ in p_t_mw]
+    budgets = p_t_mw * len(rlzs)
     if scheme == "psopa_fl":
-        sols = pso.solve_pa_fixed_loc(rlz, rlz.default_xy, spec.pso, p_t_mw,
-                                      sigma2_mw, seeds)
+        sols = pso.solve_pa_fixed_loc(swarm_rlzs, rlzs[0].default_xy,
+                                      spec.pso, budgets, sigma2_mw, seeds)
     elif scheme == "psol_eqpa":
-        sols = pso.solve_loc_equal_pa(rlz, spec.pso, p_t_mw, sigma2_mw, seeds)
+        sols = pso.solve_loc_equal_pa(swarm_rlzs, spec.pso, budgets,
+                                      sigma2_mw, seeds)
     else:
-        sols = pso.solve_joint(rlz, spec.pso, p_t_mw, sigma2_mw, seeds)
+        sols = pso.solve_joint(swarm_rlzs, spec.pso, budgets, sigma2_mw,
+                               seeds)
     return [(sol.xy, sol.p_hat) for sol in sols]
 
 
@@ -149,38 +160,43 @@ def realization(spec: ExperimentSpec, index: int,
                        spec.angle_model, rf)
 
 
-def _realization_rows(spec: ExperimentSpec, index: int, rf: RfDesign | None,
-                      model: learn.MlpModel | None) -> list[dict]:
-    rlz = realization(spec, index, rf)
+def _realization_rows(spec: ExperimentSpec, rf: RfDesign | None,
+                      model: learn.MlpModel | None, block: range
+                      ) -> list[dict]:
+    """The records of the realizations in ``block``, in index order."""
+    rlzs = [realization(spec, index, rf) for index in block]
     sigma2_mw = dbm_to_mw(noise_power(spec.scenario))
     p_t_mw = [dbm_to_mw(p_t) for p_t in spec.p_t_dbm]
-    decisions = {scheme: _swarm_decisions(rlz, scheme, p_t_mw, sigma2_mw,
-                                          spec, index)
+    decisions = {scheme: _swarm_decisions(rlzs, scheme, p_t_mw, sigma2_mw,
+                                          spec, block)
                  for scheme in spec.schemes if scheme in _SWARM_SCHEMES}
     rows = []
-    for pt_index, p_t in enumerate(spec.p_t_dbm):
-        for scheme in spec.schemes:
-            decision = (decisions[scheme][pt_index] if scheme in decisions
-                        else None)
-            xy, report = _apply_scheme(rlz, scheme, p_t_mw[pt_index],
-                                       sigma2_mw, spec, decision, model)
-            rows.append({
-                "realization": index, "scheme": scheme, "p_t_dbm": p_t,
-                "r1": report.r1, "r2": report.r2, "r_total": report.r_total,
-                "uav_x": float(xy[0]), "uav_y": float(xy[1]),
-            })
+    for j, (index, rlz) in enumerate(zip(block, rlzs)):
+        for pt_index, p_t in enumerate(spec.p_t_dbm):
+            swarm = j * len(p_t_mw) + pt_index
+            for scheme in spec.schemes:
+                decision = (decisions[scheme][swarm] if scheme in decisions
+                            else None)
+                xy, report = _apply_scheme(rlz, scheme, p_t_mw[pt_index],
+                                           sigma2_mw, spec, decision, model)
+                rows.append({
+                    "realization": index, "scheme": scheme, "p_t_dbm": p_t,
+                    "r1": report.r1, "r2": report.r2,
+                    "r_total": report.r_total,
+                    "uav_x": float(xy[0]), "uav_y": float(xy[1]),
+                })
     return rows
 
 
-def _per_realization(spec: ExperimentSpec, fn, *args) -> list:
-    """``fn(spec, i, *args)`` for every realization index i, in index order,
-    spread over ``spec.workers`` processes when there are several."""
-    calls = [(spec, i) + args for i in range(spec.realizations)]
-    if spec.workers == 1:
-        return [fn(*call) for call in calls]
-    import multiprocessing as mp
-    with mp.Pool(spec.workers) as pool:
-        return pool.starmap(fn, calls, chunksize=1)
+def _per_block(spec: ExperimentSpec, fn, swarms: int, *args) -> list:
+    """The items of ``fn(spec, *args, block)`` over the blocks of the run's
+    realization indices (:func:`uavlink.schedule.map_blocks`), in index
+    order; each realization adds ``swarms`` swarms to a block's stacked
+    solves."""
+    return [item for items in map_blocks(functools.partial(fn, spec, *args),
+                                         range(spec.realizations), swarms,
+                                         spec.workers)
+            for item in items]
 
 
 def run(spec: ExperimentSpec, out_dir: str | None = None
@@ -191,11 +207,9 @@ def run(spec: ExperimentSpec, out_dir: str | None = None
     # loaded here, once per run, so a rewritten file is never served stale
     model = (learn.load_model(spec.model_path) if "dnn" in spec.schemes
              else None)
-    per_index = _per_realization(spec, _realization_rows, rf, model)
-    records = [row for rows in per_index for row in rows]
-    records.sort(key=lambda r: (r["realization"],
-                                spec.p_t_dbm.index(r["p_t_dbm"]),
-                                spec.schemes.index(r["scheme"])))
+    # in (realization, power, scheme) order
+    records = _per_block(spec, _realization_rows, len(spec.p_t_dbm), rf,
+                         model)
 
     results = []
     for scheme in spec.schemes:
@@ -293,14 +307,15 @@ def mean_surface(spec: ExperimentSpec, p_t_dbm: float,
                  objective: str = "r_total") -> pso.GridResult:
     """Grid surface averaged over the run's realizations; a non-finite
     ``p_t_dbm`` is refused before any realization is drawn. Realizations
-    spread over ``spec.workers`` processes; their grids add up in index
-    order, so the surface does not depend on the worker count."""
+    spread over ``spec.workers`` processes, one per task (a grid has no
+    swarms to stack); their grids add up in index order, so the surface
+    does not depend on the worker count."""
     require_number(p_t_dbm, "p_t_dbm")
     sigma2_mw = dbm_to_mw(noise_power(spec.scenario))
     p_t_mw = dbm_to_mw(p_t_dbm)
     rf = shared_rf(spec.scenario, spec.angle_model)
-    grids = _per_realization(spec, _realization_grid, rf, p_t_mw, sigma2_mw,
-                             objective)
+    grids = _per_block(spec, _realization_grid, 0, rf, p_t_mw, sigma2_mw,
+                       objective)
     values = sum(grids[1:], grids[0]) / spec.realizations
     xs, ys = pso.grid_axes(spec.scenario.box, spec.grid_dx, spec.grid_dy)
     ix, iy = np.unravel_index(int(np.argmax(values)), values.shape)
@@ -310,13 +325,13 @@ def mean_surface(spec: ExperimentSpec, p_t_dbm: float,
                           objective=objective)
 
 
-def _realization_grid(spec: ExperimentSpec, index: int, rf: RfDesign | None,
-                      p_t_mw: float, sigma2_mw: float, objective: str
-                      ) -> np.ndarray:
-    """The equal-power grid values of realization ``index``."""
-    return pso.exhaustive_grid(realization(spec, index, rf), spec.grid_dx,
-                               spec.grid_dy, p_t_mw, sigma2_mw,
-                               objective).values
+def _realization_grid(spec: ExperimentSpec, rf: RfDesign | None,
+                      p_t_mw: float, sigma2_mw: float, objective: str,
+                      block: range) -> list[np.ndarray]:
+    """The equal-power grid values of each realization in ``block``."""
+    return [pso.exhaustive_grid(realization(spec, index, rf), spec.grid_dx,
+                                spec.grid_dy, p_t_mw, sigma2_mw,
+                                objective).values for index in block]
 
 
 def emit_surface(grid: pso.GridResult, path: str) -> None:
@@ -336,18 +351,21 @@ def run_delay(spec: ExperimentSpec, queue_bits: list[float],
               out_path: str | None = None) -> list[dict]:
     """Average Little's-law delay, bufferless vs buffered, per power point.
 
-    One search yields both policies: per realization, one
-    ``relay.optimize_policy`` call steps every power's searches in lockstep
-    (one seed per power), and each buffered policy carries the bufferless
-    optimum it dominates, so the buffered delay never exceeds the
-    bufferless one on any realization. ``queue_bits`` is refused, before
-    any realization is drawn, when empty, repeated, negative or not finite.
-    Realizations spread over ``spec.workers`` processes; the means add
-    them up in index order, so the rows do not depend on the worker count.
+    One search yields both policies: per block of realizations, one
+    ``relay.optimize_policy`` call steps the searches of every realization
+    and power in lockstep (one seed per (realization, power)), and each
+    buffered policy carries the bufferless optimum it dominates, so the
+    buffered delay never exceeds the bufferless one on any realization.
+    Both delays come from the per-hop rates the policies record.
+    ``queue_bits`` is refused, before any realization is drawn, when empty,
+    repeated, negative or not finite. Blocks spread over ``spec.workers``
+    processes; the means add the realizations up in index order, so the
+    rows depend neither on the worker count nor on the blocks.
     """
     _check_queue_bits(queue_bits)
     rf = shared_rf(spec.scenario, spec.angle_model)
-    per_index = _per_realization(spec, _realization_delays, rf, queue_bits)
+    per_index = _per_block(spec, _realization_delays, 3 * len(spec.p_t_dbm),
+                           rf, queue_bits)
     delays = {key: [d[key] for d in per_index] for key in per_index[0]}
     rows = [{"p_t_dbm": p_t, "queue_bits": q,
              "delay_fixed": float(np.mean(delays["without_buffer", pt, q])),
@@ -365,24 +383,25 @@ def run_delay(spec: ExperimentSpec, queue_bits: list[float],
     return rows
 
 
-def _realization_delays(spec: ExperimentSpec, index: int,
-                        rf: RfDesign | None, queue_bits: list[float]) -> dict:
-    """(mode, power index, queue bits) -> delay on realization ``index``."""
+def _realization_delays(spec: ExperimentSpec, rf: RfDesign | None,
+                        queue_bits: list[float], block: range) -> list[dict]:
+    """(mode, power index, queue bits) -> delay, for each realization of
+    ``block`` in index order."""
     sigma2_mw = dbm_to_mw(noise_power(spec.scenario))
     p_t_mw = [dbm_to_mw(p_t) for p_t in spec.p_t_dbm]
-    rlz = realization(spec, index, rf)
+    rlzs = [realization(spec, index, rf) for index in block]
     seeds = [np.random.SeedSequence([int(spec.seed), index, 101, pt_index])
-             for pt_index in range(len(p_t_mw))]
-    buffered = relay.optimize_policy(rlz, spec.pso, p_t_mw, sigma2_mw, seeds)
-    delays = {}
-    for pt_index, policy in enumerate(buffered):
-        for mode, pol in (("without_buffer", policy.bufferless()),
-                          ("with_buffer", policy)):
-            rep = relay.buffered_rate(rlz, pol, p_t_mw[pt_index], sigma2_mw)
-            for q in queue_bits:
-                delays[mode, pt_index, q] = relay.little_delay(
-                    rep.r1, rep.r2, q)
-    return delays
+             for index in block for pt_index in range(len(p_t_mw))]
+    policies = relay.optimize_policy(
+        [rlz for rlz in rlzs for _ in p_t_mw], spec.pso,
+        p_t_mw * len(rlzs), sigma2_mw, seeds)
+    p = len(p_t_mw)
+    return [{(mode, pt_index, q): relay.little_delay(*pol.hop_rates, q)
+             for pt_index, policy in enumerate(policies[j * p:(j + 1) * p])
+             for mode, pol in (("without_buffer", policy.bufferless()),
+                               ("with_buffer", policy))
+             for q in queue_bits}
+            for j in range(len(rlzs))]
 
 
 def _check_queue_bits(queue_bits: list[float]) -> None:

@@ -14,7 +14,6 @@ import functools
 import json
 import math
 import os
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +23,7 @@ from .config import check_fields, require_number, scenario_to_dict, to_dict
 from .geometry import Box, Scenario, dbm_to_mw, noise_power
 from .links import RfDesign, Realization, shared_rf
 from .rates import PowerAlloc, precoder_gains, scale_alloc
+from .schedule import map_blocks
 
 
 class ShapeMismatch(ValueError):
@@ -322,12 +322,6 @@ def apply_prediction(model: MlpModel, rlz: Realization, p_t_mw: float,
 
 # --- dataset generation -------------------------------------------------------
 
-# rows labeled by one stacked solve: on desk arrays (2-core x86-64, one BLAS
-# thread) 16 to 64 rows all label 4-5x faster than one row at a time, and
-# 128 is slower again
-_BLOCK_ROWS = 32
-
-
 def _dataset_block(scenario: Scenario, master_seed: int, p_t_mw: float,
                    sigma2_mw: float, pso_cfg: pso.PsoConfig, angle_model: str,
                    rf: RfDesign | None, indices: range) -> list[dict]:
@@ -368,14 +362,14 @@ def generate_dataset(scenario: Scenario, count: int, master_seed: int,
 
     Row i depends only on (master_seed, i), so generation parallelizes over
     rows and resumes mid-file: existing rows are kept and only the missing
-    tail is computed. The missing rows are labeled in contiguous blocks,
-    one stacked ``solve_joint`` per block with one swarm per row, serially
-    or one block per worker task. Each block's rows are appended in index
-    order as soon as the block finishes, so a crash loses at most the
-    blocks in flight. A sidecar .meta.json pins the configuration and the
-    row count; existing rows are resumed only under the configuration it
-    records. A ``count`` below 1 and a non-finite ``p_t_dbm`` are refused
-    before any file is written.
+    tail is computed. The missing rows are labeled in contiguous blocks
+    (:func:`uavlink.schedule.map_blocks`), one stacked ``solve_joint`` per
+    block with one swarm per row, serially or one block per worker task.
+    Each block's rows are appended in index order as soon as the block
+    finishes, so a crash loses at most the blocks in flight. A sidecar
+    .meta.json pins the configuration and the row count; existing rows are
+    resumed only under the configuration it records. A ``count`` below 1
+    and a non-finite ``p_t_dbm`` are refused before any file is written.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -400,14 +394,10 @@ def generate_dataset(scenario: Scenario, count: int, master_seed: int,
         block_at = functools.partial(
             _dataset_block, scenario, master_seed, p_t_mw, sigma2_mw, pso_cfg,
             angle_model, shared_rf(scenario, angle_model))
-        blocks = [range(start, min(start + _BLOCK_ROWS, count))
-                  for start in range(existing, count, _BLOCK_ROWS)]
-        import multiprocessing as mp
-        with (mp.Pool(workers) if workers > 1 else nullcontext()) as pool, \
-                open(out_path, "a") as fh:
-            done = (pool.imap(block_at, blocks, chunksize=1) if pool
-                    else map(block_at, blocks))
-            for rows in done:   # in index order, each block once computed
+        with open(out_path, "a") as fh:
+            # one swarm per row; in index order, each block once computed
+            for rows in map_blocks(block_at, range(existing, count), 1,
+                                   workers):
                 fh.writelines(json.dumps(row) + "\n" for row in rows)
                 fh.flush()
     _write_meta(meta_path, max(existing, count), config)

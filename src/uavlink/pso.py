@@ -11,7 +11,8 @@ fixed seed every swarm is bit-reproducible and equals the same swarm run
 alone. A list is therefore never read as one seed's entropy: wrap such
 entropy as ``np.random.SeedSequence([...])``. A list of realizations paired
 with the list of seeds runs each swarm on its own realization, through one
-stack of the realizations (:func:`uavlink.links.stack_realizations`).
+stack of the distinct realizations
+(:func:`uavlink.links.stack_realizations`).
 """
 
 from __future__ import annotations
@@ -215,9 +216,10 @@ def _solve(rlz: Realization | list[Realization], cfg: PsoConfig, p_t_mw,
     and ``objective`` are then one value for every swarm or one per swarm.
     Any other seed (an int, a ``SeedSequence``, a tuple of entropy) runs
     one swarm and returns one result. ``rlz`` is one realization for every
-    swarm, or a list of one per swarm, which needs a list of seeds; the
-    list is stacked and each swarm's candidates are scored on its own
-    realization.
+    swarm, or a list of one per swarm, which needs a list of seeds; each
+    distinct realization of the list is stacked once, and each swarm's
+    candidates are scored on its own realization. A list that repeats one
+    realization is solved on it unstacked, as if it were passed alone.
     """
     seeds = seed if isinstance(seed, list) else [seed]
     s, m = len(seeds), cfg.particles
@@ -232,7 +234,15 @@ def _solve(rlz: Realization | list[Realization], cfg: PsoConfig, p_t_mw,
         if len(rlz) != s:
             raise ValueError(f"rlz gives {len(rlz)} realizations for {s} "
                              "swarms")
-        rlz, index = stack_realizations(rlz), np.repeat(np.arange(s), m)
+        # each distinct realization is stacked once; one alone is not
+        # stacked at all
+        distinct = {id(r): r for r in rlz}
+        if len(distinct) == 1:
+            rlz = rlz[0]
+        else:
+            at = {key: j for j, key in enumerate(distinct)}
+            index = np.repeat([at[id(r)] for r in rlz], m)
+            rlz = stack_realizations(list(distinct.values()))
 
     def evaluate(coords: np.ndarray) -> np.ndarray:
         xys, p_hat = decode(coords.reshape(s * m, dim))

@@ -34,12 +34,17 @@ class BufferPolicy:
     """Operating positions for the two hops; equal positions mean no buffer.
 
     ``base_xy`` is the bufferless optimum a searched policy was built to
-    dominate (None for a policy built by hand).
+    dominate. ``hop_rates`` are the equal-power rates its search found at
+    its own positions (r1 at ``loc_rx``, r2 at ``loc_tx``) and
+    ``base_rates`` those at ``base_xy``, both at the budget it was searched
+    for; all three are None for a policy built by hand.
     """
 
     loc_rx: np.ndarray
     loc_tx: np.ndarray
     base_xy: np.ndarray | None = None
+    hop_rates: tuple[float, float] | None = None
+    base_rates: tuple[float, float] | None = None
 
     def __post_init__(self):
         self.loc_rx = np.asarray(self.loc_rx, dtype=float)
@@ -52,13 +57,15 @@ class BufferPolicy:
         ``mode="without_buffer"`` on the same seed."""
         if self.base_xy is None:
             raise ValueError("policy records no bufferless optimum")
-        return BufferPolicy(self.base_xy, self.base_xy, self.base_xy)
+        return BufferPolicy(self.base_xy, self.base_xy, self.base_xy,
+                            self.base_rates, self.base_rates)
 
 
 def buffered_rate(rlz: Realization, policy: BufferPolicy, p_t_mw: float,
                   sigma2_mw: float) -> RateReport:
     """End-to-end rate under a policy: each hop evaluated at its position,
-    under equal powers."""
+    under equal powers. At the budget a policy was searched for, its r1 and
+    r2 are the ``hop_rates`` it records."""
     rx_report = rlz.rate_at(policy.loc_rx, p_t_mw, sigma2_mw)
     tx_report = (rx_report if np.array_equal(policy.loc_rx, policy.loc_tx)
                  else rlz.rate_at(policy.loc_tx, p_t_mw, sigma2_mw))
@@ -68,8 +75,9 @@ def buffered_rate(rlz: Realization, policy: BufferPolicy, p_t_mw: float,
                       sinr=tx_report.sinr)
 
 
-def optimize_policy(rlz: Realization, cfg: pso.PsoConfig, p_t_mw,
-                    sigma2_mw: float, seed, mode: str = "with_buffer"
+def optimize_policy(rlz: Realization | list[Realization], cfg: pso.PsoConfig,
+                    p_t_mw, sigma2_mw: float, seed,
+                    mode: str = "with_buffer"
                     ) -> BufferPolicy | list[BufferPolicy]:
     """Best operating positions for the chosen mode.
 
@@ -80,11 +88,13 @@ def optimize_policy(rlz: Realization, cfg: pso.PsoConfig, p_t_mw,
     optimum among its per-hop candidates and records it as ``base_xy``, so
     on any one realization its rate is never below the bufferless one;
     ``mode="without_buffer"`` returns :meth:`BufferPolicy.bufferless` of it.
+    Either policy records the per-hop rates its search compared.
 
-    A list ``seed`` gives one seed per power and returns one policy per
-    power; ``p_t_mw`` is then one budget or one per power. Either way the
-    searches of every power step in lockstep in one stacked solve. Any
-    other seed solves the single budget ``p_t_mw`` and returns one policy.
+    A list ``seed`` returns one policy per seed; ``p_t_mw`` is then one
+    budget or one per seed, and ``rlz`` one realization or a list of one
+    per seed. Either way the searches of every seed step in lockstep in
+    one stacked solve. Any other seed solves the single budget ``p_t_mw``
+    and returns one policy.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -93,13 +103,18 @@ def optimize_policy(rlz: Realization, cfg: pso.PsoConfig, p_t_mw,
     powers = list(p_t_mw) if np.ndim(p_t_mw) else [p_t_mw] * n
     if len(powers) != n:
         raise ValueError(f"p_t_mw gives {len(powers)} budgets for {n} seeds")
-    # one budget serves every swarm; per-power budgets repeat per search
+    rlzs = rlz if isinstance(rlz, list) else [rlz] * n
+    if len(rlzs) != n:
+        raise ValueError(f"rlz gives {len(rlzs)} realizations for {n} seeds")
+    # one budget serves every swarm; per-seed budgets and realizations
+    # repeat per search
     found = pso.solve_loc_equal_pa(
-        rlz, cfg, np.repeat(powers, 3) if np.ndim(p_t_mw) else p_t_mw,
+        [r for r in rlzs for _ in range(3)] if isinstance(rlz, list) else rlz,
+        cfg, np.repeat(powers, 3) if np.ndim(p_t_mw) else p_t_mw,
         sigma2_mw, [q for s in seeds for q in _own_sequence(s).spawn(3)],
         ["r_total", "r1", "r2"] * n)
-    policies = [_buffered(rlz, p, sigma2_mw, *found[3 * j:3 * j + 3])
-                for j, p in enumerate(powers)]
+    policies = [_buffered(r, p, sigma2_mw, *found[3 * j:3 * j + 3])
+                for j, (r, p) in enumerate(zip(rlzs, powers))]
     if mode == "without_buffer":
         policies = [policy.bufferless() for policy in policies]
     return policies if isinstance(seed, list) else policies[0]
@@ -122,11 +137,12 @@ def _buffered(rlz: Realization, p_t_mw: float, sigma2_mw: float,
     """The buffered policy at one power from its three searches; each hop
     falls back to the bufferless optimum where its own search did worse."""
     base_report = rlz.rate_at(base.xy, p_t_mw, sigma2_mw)
+    base_r1, base_r2 = base_report.r1, base_report.r2
     rx_r1 = rlz.rate_at(rx.xy, p_t_mw, sigma2_mw).r1
     tx_r2 = rlz.rate_at(tx.xy, p_t_mw, sigma2_mw).r2
-    return BufferPolicy(loc_rx=rx.xy if rx_r1 >= base_report.r1 else base.xy,
-                        loc_tx=tx.xy if tx_r2 >= base_report.r2 else base.xy,
-                        base_xy=base.xy)
+    loc_rx, r1 = (rx.xy, rx_r1) if rx_r1 >= base_r1 else (base.xy, base_r1)
+    loc_tx, r2 = (tx.xy, tx_r2) if tx_r2 >= base_r2 else (base.xy, base_r2)
+    return BufferPolicy(loc_rx, loc_tx, base.xy, (r1, r2), (base_r1, base_r2))
 
 
 def little_delay(r1: float, r2: float, queue_bits: float) -> float:

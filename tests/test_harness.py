@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from uavlink import cli, harness, learn, links, pso, relay
+from uavlink import cli, harness, learn, links, pso, relay, schedule
 from uavlink.beamforming import OverlappingSupports
 from uavlink.geometry import Scenario, dbm_to_mw, noise_power, place_users
 from uavlink.harness import (ExperimentSpec, config_hash, run, spec_from_dict,
@@ -65,26 +65,31 @@ _SWARM_SOLVERS = {"psopa_fl": "solve_pa_fixed_loc",
                   "psol_eqpa": "solve_loc_equal_pa", "psolpa": "solve_joint"}
 
 
-def test_run_solves_each_swarm_scheme_once_per_realization(monkeypatch):
+def test_run_solves_each_swarm_scheme_once_per_block(monkeypatch):
     spec = _small_spec(schemes=["fl_eqpa", *_SWARM_SOLVERS],
-                       p_t_dbm=[0.0, 20.0, 40.0], realizations=2)
+                       p_t_dbm=[0.0, 40.0], realizations=3)
     calls = []
     for name in _SWARM_SOLVERS.values():
         def counted(*args, _solve=getattr(pso, name), _name=name, **kwargs):
             calls.append((_name, len(args[-1])))
             return _solve(*args, **kwargs)
         monkeypatch.setattr(pso, name, counted)
+    # 4 swarms per block at 2 powers: the blocks are 0-1 and 2
+    monkeypatch.setattr(schedule, "_SWARMS_PER_BLOCK", 4)
     _, records = run(spec)
     monkeypatch.undo()
-    # one stacked call per (realization, scheme), one swarm per power
+    # one stacked call per (block, scheme), one swarm per (realization,
+    # power)
     assert sorted(calls) == sorted(
-        (name, 3) for name in _SWARM_SOLVERS.values() for _ in range(2))
+        (name, swarms) for name in _SWARM_SOLVERS.values()
+        for swarms in (4, 2))
     # each record is what a lone swarm on its own seed finds
     sigma2 = dbm_to_mw(noise_power(spec.scenario))
+    rlzs = [harness.realization(spec, i) for i in range(spec.realizations)]
     for rec in records:
         if rec["scheme"] == "fl_eqpa":
             continue
-        rlz = harness.realization(spec, rec["realization"])
+        rlz = rlzs[rec["realization"]]
         p_t_mw = dbm_to_mw(rec["p_t_dbm"])
         seed = harness._solver_seed(spec, rec["realization"], rec["scheme"],
                                     spec.p_t_dbm.index(rec["p_t_dbm"]))
@@ -222,8 +227,10 @@ def test_run_delay_pairs_the_policy_seeds():
             assert row[column] == float(np.mean(delays))
 
 
-def test_run_delay_makes_one_stacked_search_per_realization(monkeypatch):
-    spec = _small_spec(p_t_dbm=[0.0, 20.0, 40.0], realizations=2)
+def test_run_delay_makes_one_stacked_search_per_block(monkeypatch):
+    # 9 swarms per realization at 3 powers: the blocks are 0-2 and 3
+    spec = _small_spec(p_t_dbm=[0.0, 20.0, 40.0], realizations=4)
+    monkeypatch.setattr(schedule, "_SWARMS_PER_BLOCK", 27)
     policy_calls, solves = [], []
     optimize, solve = relay.optimize_policy, pso.solve_loc_equal_pa
 
@@ -239,9 +246,9 @@ def test_run_delay_makes_one_stacked_search_per_realization(monkeypatch):
     # the policy search is location-only: it makes no joint solve
     monkeypatch.setattr(pso, "solve_joint", None)
     harness.run_delay(spec, [2.0, 8.0])
-    # per realization: one buffered call, three swarms per power
-    assert policy_calls == ["with_buffer"] * spec.realizations
-    assert solves == [3 * len(spec.p_t_dbm)] * spec.realizations
+    # per block: one buffered call, three swarms per (realization, power)
+    assert policy_calls == ["with_buffer"] * 2
+    assert solves == [3 * 3 * 3, 3 * 3]
 
 
 def test_run_delay_csv_bytes_independent_of_workers(tmp_path):
@@ -249,6 +256,46 @@ def test_run_delay_csv_bytes_independent_of_workers(tmp_path):
     for workers, path in zip((1, 2), paths):
         harness.run_delay(_small_spec(workers=workers), [2.0, 8.0], str(path))
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def _blocked_output(tmp_path, monkeypatch, entry: str, per_block: int,
+                    workers: int) -> list[bytes]:
+    """The run CSVs or delay.csv of a 5-realization spec at one power, in
+    blocks of ``per_block`` realizations on ``workers`` workers."""
+    spec = _small_spec(schemes=["fl_eqpa", *_SWARM_SOLVERS], p_t_dbm=[20.0],
+                       realizations=5, workers=workers,
+                       pso=PsoConfig(particles=4, iterations=3))
+    # at one power a realization adds one swarm to each of a run's stacked
+    # solves, and three to a delay search
+    if entry == "run":
+        monkeypatch.setattr(schedule, "_SWARMS_PER_BLOCK", per_block)
+        run(spec, str(tmp_path))
+        names = ("results.csv", "per_realization.csv")
+    else:
+        monkeypatch.setattr(schedule, "_SWARMS_PER_BLOCK", 3 * per_block)
+        harness.run_delay(spec, [2.0, 8.0], str(tmp_path / "delay.csv"))
+        names = ("delay.csv",)
+    return [(tmp_path / name).read_bytes() for name in names]
+
+
+@pytest.fixture(scope="module")
+def unblocked_output(tmp_path_factory):
+    """``_blocked_output`` one realization at a time, serially, by entry."""
+    with pytest.MonkeyPatch.context() as patch:
+        return {entry: _blocked_output(tmp_path_factory.mktemp(entry), patch,
+                                       entry, 1, 1)
+                for entry in ("run", "run_delay")}
+
+
+@pytest.mark.parametrize("per_block, workers",
+                         [(1, 2), (2, 1), (2, 2), (3, 1), (3, 2)])
+@pytest.mark.parametrize("entry", ["run", "run_delay"])
+def test_output_bytes_independent_of_blocks(tmp_path, monkeypatch,
+                                            unblocked_output, entry,
+                                            per_block, workers):
+    # 5 realizations leave a short last block at 2 and 3 per block
+    assert _blocked_output(tmp_path, monkeypatch, entry, per_block,
+                           workers) == unblocked_output[entry]
 
 
 @pytest.mark.parametrize("queue_bits, message", [

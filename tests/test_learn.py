@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from uavlink import learn
+from uavlink import learn, schedule
 from uavlink.geometry import Box, Scenario
 from uavlink.learn import (DegenerateInput, NonfiniteLoss, ShapeMismatch,
                            TrainConfig, backprop,
@@ -386,7 +386,7 @@ def test_dataset_rows_survive_a_crash(tmp_path, desk_scenario, monkeypatch):
         return block(*args)
 
     # 4 rows make the blocks 0-1 and 2-3
-    monkeypatch.setattr(learn, "_BLOCK_ROWS", 2)
+    monkeypatch.setattr(schedule, "_SWARMS_PER_BLOCK", 2)
     monkeypatch.setattr(learn, "_dataset_block", crash_in_second_block)
     with pytest.raises(RuntimeError, match="killed"):
         generate_dataset(desk_scenario, 4, 5, path, pso_cfg=cfg)
@@ -422,7 +422,7 @@ def test_dataset_resume_refuses_a_missing_index_before_computing(
     rows = open(path).read()
     meta = open(path + ".meta.json").read()
     computed = []
-    monkeypatch.setattr(learn, "_BLOCK_ROWS", 2)
+    monkeypatch.setattr(schedule, "_SWARMS_PER_BLOCK", 2)
     monkeypatch.setattr(learn, "_dataset_block",
                         lambda *args: computed.append(args[-1]))
     with pytest.raises(ValueError, match="row index 1 is missing"):
@@ -468,7 +468,8 @@ def test_dataset_rows_independent_of_batching(tmp_path, desk_scenario):
 def test_dataset_bytes_independent_of_workers(tmp_path, desk_scenario,
                                              monkeypatch):
     cfg = PsoConfig(particles=4, iterations=3)
-    monkeypatch.setattr(learn, "_BLOCK_ROWS", 2)    # 5 rows in 3 blocks
+    # one swarm per row: 5 rows in 3 blocks
+    monkeypatch.setattr(schedule, "_SWARMS_PER_BLOCK", 2)
     one = str(tmp_path / "one.jsonl")
     two = str(tmp_path / "two.jsonl")
     generate_dataset(desk_scenario, 5, 8, one, pso_cfg=cfg)

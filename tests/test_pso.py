@@ -241,6 +241,32 @@ def test_solve_over_realizations_equals_lone_solves(stack_members, case,
         assert any(sol.infeasible > 0 for sol in stacked)
 
 
+def test_solve_stacks_each_distinct_realization_once(
+        desk_realization, stack_members, desk_sigma2, p20_mw, monkeypatch):
+    stacks = []
+    stack = pso.stack_realizations
+
+    def recording(realizations):
+        stacks.append(len(realizations))
+        return stack(realizations)
+    monkeypatch.setattr(pso, "stack_realizations", recording)
+    seeds = [3, 4, 5]
+    repeated = pso.solve_joint([desk_realization] * 3, SMALL, p20_mw,
+                               desk_sigma2, seeds)
+    # one distinct realization is solved unstacked, as if passed alone
+    assert stacks == []
+    for sol, lone in zip(repeated, pso.solve_joint(
+            desk_realization, SMALL, p20_mw, desk_sigma2, seeds)):
+        _same_result(sol, lone)
+    a, b = stack_members("desk")[:2]
+    pairs = pso.solve_joint([a, b, b, a], SMALL, p20_mw, desk_sigma2,
+                            [1, 2, 3, 4])
+    assert stacks == [2]
+    for sol, rlz, seed in zip(pairs, [a, b, b, a], [1, 2, 3, 4]):
+        _same_result(sol, pso.solve_joint(rlz, SMALL, p20_mw, desk_sigma2,
+                                          seed))
+
+
 def test_stacked_solve_shares_one_power_and_objective(desk_realization,
                                                       desk_sigma2, p20_mw):
     seeds = [3, 4]

@@ -123,7 +123,7 @@ def test_bufferless_policy_makes_the_same_single_search(
 
 
 def _same_policy(a, b):
-    for name in ("loc_rx", "loc_tx", "base_xy"):
+    for name in ("loc_rx", "loc_tx", "base_xy", "hop_rates", "base_rates"):
         x, y = getattr(a, name), getattr(b, name)
         assert (x is None and y is None) or np.array_equal(x, y), name
 
@@ -170,3 +170,29 @@ def test_policy_arguments_are_checked(desk_realization, p20_mw, desk_sigma2):
     with pytest.raises(ValueError, match="unknown mode"):
         optimize_policy(desk_realization, CFG, p20_mw, desk_sigma2, 1,
                         mode="queued")
+
+
+@pytest.mark.parametrize("mode", ["with_buffer", "without_buffer"])
+def test_policy_records_the_rates_at_its_positions(desk_realization, p20_mw,
+                                                   desk_sigma2, mode):
+    rlz = desk_realization
+    for seed in range(4):
+        policy = optimize_policy(rlz, CFG, p20_mw, desk_sigma2, seed,
+                                 mode=mode)
+        rep = buffered_rate(rlz, policy, p20_mw, desk_sigma2)
+        assert policy.hop_rates == (rep.r1, rep.r2)
+    assert BufferPolicy(loc_rx=[1.0, 1.0], loc_tx=[2.0, 2.0]).hop_rates is None
+
+
+def test_realization_list_equals_per_realization_calls(stack_members,
+                                                       p20_mw, desk_sigma2):
+    rlzs = stack_members("desk")[:2]
+    seeds = [np.random.SeedSequence([5, j]) for j in range(4)]
+    per_seed = [rlzs[0], rlzs[0], rlzs[1], rlzs[1]]
+    stacked = optimize_policy(per_seed, CFG, p20_mw, desk_sigma2, seeds)
+    for policy, rlz, j in zip(stacked, per_seed, range(4)):
+        lone = optimize_policy(rlz, CFG, p20_mw, desk_sigma2,
+                               np.random.SeedSequence([5, j]))
+        _same_policy(policy, lone)
+    with pytest.raises(ValueError, match="rlz gives 2 realizations for 4"):
+        optimize_policy(rlzs, CFG, p20_mw, desk_sigma2, seeds)
