@@ -45,12 +45,12 @@ class PathSet:
 
 @dataclass
 class ChannelPair:
-    """One realization of both hops at a fixed UAV position."""
+    """One realization's physical channel at a fixed UAV position: the
+    second hop's rows, which the surrogate's features read. The first hop
+    is kept only RF-collapsed (:meth:`uavlink.links.Realization.stages_at`).
+    """
 
-    h1: np.ndarray          # N_r x N_T, BS -> UAV
     h2: np.ndarray          # K x N_t, UAV -> users (row per user)
-    tau1: float
-    tau2: np.ndarray
 
 
 class Supports(NamedTuple):

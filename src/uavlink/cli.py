@@ -149,7 +149,9 @@ def _dispatch(args) -> int:
                                     test_x, test_y)
         learn.save_model(model, args.out)
         if args.curves:
-            _write_curves(args.curves, curves)
+            cols = list(curves[0]) if curves else ["epoch", "train_loss"]
+            harness.write_csv(args.curves, cols,
+                              ([row.get(c) for c in cols] for row in curves))
         last = curves[-1] if curves else {}
         print(f"saved {args.out}; final val_mse: {last.get('val_mse')}")
         return 0
@@ -181,16 +183,6 @@ def _dispatch(args) -> int:
         return 0
 
     raise ValueError(f"unhandled command {args.command!r}")
-
-
-def _write_curves(path: str, curves: list[dict]) -> None:
-    import csv
-    cols = list(curves[0].keys()) if curves else ["epoch", "train_loss"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in curves:
-            writer.writerow([row.get(c) for c in cols])
 
 
 if __name__ == "__main__":

@@ -123,9 +123,9 @@ class Scenario:
     box: Box = Box(0.0, 0.0, 100.0, 100.0)
     user_xy_range: tuple[float, float] = (50.0, 100.0)
 
-    carrier_freq_hz: float = 28e9
     bandwidth_hz: float = 100e6
     noise_psd_dbm_hz: float = -174.0
+    # the carrier enters only here: about the 1 m free-space loss at 28 GHz
     ref_pathloss_db: float = 61.34
     pathloss_exp: float = 3.6
 
@@ -158,8 +158,8 @@ class Scenario:
             raise ValueError(
                 f"scenario.users gives {len(self.users)} users but "
                 f"scenario.group_sizes sums to {self.num_users}")
-        for name in ("carrier_freq_hz", "bandwidth_hz", "pathloss_exp",
-                     "element_spacing", "paths_first_link", "paths_second_link"):
+        for name in ("bandwidth_hz", "pathloss_exp", "element_spacing",
+                     "paths_first_link", "paths_second_link"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"scenario.{name} must be positive, "
                                  f"got {getattr(self, name)!r}")
@@ -179,6 +179,16 @@ class Scenario:
                 f"scenario.uav_position ({self.uav.x}, {self.uav.y}) lies "
                 f"outside scenario.deployment_box "
                 f"[{b.x_min}, {b.y_min}, {b.x_max}, {b.y_max}]")
+        # a swarm may place a candidate anywhere in the box, corners included
+        nodes = [("scenario.bs_position", self.bs), *(
+            (f"scenario.users[{i}]", u) for i, u in enumerate(self.users or []))]
+        for name, node in nodes:
+            if node.z == self.uav.z and self.box.contains((node.x, node.y)):
+                raise ValueError(
+                    f"scenario.uav_position altitude {self.uav.z} equals "
+                    f"{name}'s, and {name} ({node.x}, {node.y}) lies in "
+                    f"scenario.deployment_box: a UAV candidate there would "
+                    f"sit on it")
         for name in ("rf_budget_bs", "rf_budget_uav_rx"):
             if getattr(self, name) < self.num_users:
                 raise ValueError(

@@ -21,7 +21,7 @@ import math
 import os
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .channel import ANGLE_MODELS
 from .config import check_fields, from_dict, require_number, \
     scenario_from_dict, scenario_to_dict, to_dict
 from .geometry import Scenario, dbm_to_mw, noise_power
-from .links import RfDesign, Realization, shared_rf
+from .links import RfDesign, Realization, make_realization, shared_rf
 from .schedule import map_blocks
 
 SCHEMES = ("fl_eqpa", "psopa_fl", "psol_eqpa", "psolpa", "exhaustive", "dnn")
@@ -155,9 +155,9 @@ def realization(spec: ExperimentSpec, index: int,
 
     ``rf`` is the run's shared analog design (``shared_rf``), if it has one.
     """
-    seq = np.random.SeedSequence([int(spec.seed), int(index)])
-    return Realization(spec.scenario, np.random.default_rng(seq),
-                       spec.angle_model, rf)
+    return make_realization(
+        spec.scenario, np.random.SeedSequence([int(spec.seed), int(index)]),
+        spec.angle_model, rf)
 
 
 def _realization_rows(spec: ExperimentSpec, rf: RfDesign | None,
@@ -237,29 +237,28 @@ def run(spec: ExperimentSpec, out_dir: str | None = None
     return results, records
 
 
-def write_results_csv(path: str, results: list[ResultRow]) -> None:
+def write_csv(path: str, header: list, rows) -> None:
+    """A CSV file of ``header``, then each row of ``rows`` (lists of cells,
+    formatted by the caller)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["scheme", "p_t_dbm", "mean_r1", "std_r1", "mean_r2",
-                         "std_r2", "mean_r_total", "std_r_total",
-                         "realizations"])
-        for row in results:
-            writer.writerow([
-                row.scheme, _fmt(row.p_t_dbm), _fmt(row.mean_r1),
-                _fmt(row.std_r1), _fmt(row.mean_r2), _fmt(row.std_r2),
-                _fmt(row.mean_r_total), _fmt(row.std_r_total),
-                row.realizations])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_results_csv(path: str, results: list[ResultRow]) -> None:
+    cols = [f.name for f in fields(ResultRow)]
+    write_csv(path, cols, ([row.scheme]
+                           + [_fmt(getattr(row, c)) for c in cols[1:-1]]
+                           + [row.realizations] for row in results))
 
 
 def write_records_csv(path: str, records: list[dict]) -> None:
     cols = ["realization", "scheme", "p_t_dbm", "r1", "r2", "r_total",
             "uav_x", "uav_y"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for rec in records:
-            writer.writerow([rec["realization"], rec["scheme"]]
-                            + [_fmt(rec[c]) for c in cols[2:]])
+    write_csv(path, cols, ([rec["realization"], rec["scheme"]]
+                           + [_fmt(rec[c]) for c in cols[2:]]
+                           for rec in records))
 
 
 def _fmt(x) -> str:
@@ -292,7 +291,10 @@ def write_manifest(path: str, spec: ExperimentSpec,
         json.dump(manifest, fh, indent=1)
 
 
+@functools.cache
 def _git_describe() -> str | None:
+    """``git describe`` of the working directory, resolved once per
+    process: a manifest records the checkout as the process first saw it."""
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
                              capture_output=True, text=True, timeout=5)
@@ -336,13 +338,11 @@ def _realization_grid(spec: ExperimentSpec, rf: RfDesign | None,
 
 def emit_surface(grid: pso.GridResult, path: str) -> None:
     """Matrix CSV: rows over x, columns over y, argmax appended."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x\\y"] + [_fmt(y) for y in grid.ys])
-        for i, x in enumerate(grid.xs):
-            writer.writerow([_fmt(x)] + [_fmt(v) for v in grid.values[i]])
-        writer.writerow(["best", _fmt(grid.best_xy[0]), _fmt(grid.best_xy[1]),
-                         _fmt(grid.best_value)])
+    rows = [[_fmt(x)] + [_fmt(v) for v in grid.values[i]]
+            for i, x in enumerate(grid.xs)]
+    rows.append(["best", _fmt(grid.best_xy[0]), _fmt(grid.best_xy[1]),
+                 _fmt(grid.best_value)])
+    write_csv(path, ["x\\y"] + [_fmt(y) for y in grid.ys], rows)
 
 
 # --- delay experiment -----------------------------------------------------------
@@ -372,14 +372,8 @@ def run_delay(spec: ExperimentSpec, queue_bits: list[float],
              "delay_buffered": float(np.mean(delays["with_buffer", pt, q]))}
             for pt, p_t in enumerate(spec.p_t_dbm) for q in queue_bits]
     if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["p_t_dbm", "queue_bits", "delay_fixed",
-                             "delay_buffered"])
-            for row in rows:
-                writer.writerow([_fmt(row["p_t_dbm"]), _fmt(row["queue_bits"]),
-                                 _fmt(row["delay_fixed"]),
-                                 _fmt(row["delay_buffered"])])
+        cols = list(rows[0])
+        write_csv(out_path, cols, ([_fmt(row[c]) for c in cols] for row in rows))
     return rows
 
 

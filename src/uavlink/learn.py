@@ -21,7 +21,7 @@ import numpy as np
 from . import pso
 from .config import check_fields, require_number, scenario_to_dict, to_dict
 from .geometry import Box, Scenario, dbm_to_mw, noise_power
-from .links import RfDesign, Realization, shared_rf
+from .links import RfDesign, Realization, make_realization, shared_rf
 from .rates import PowerAlloc, precoder_gains, scale_alloc
 from .schedule import map_blocks
 
@@ -330,8 +330,8 @@ def _dataset_block(scenario: Scenario, master_seed: int, p_t_mw: float,
     i]).spawn(2), so it equals the row labeled alone."""
     seqs = [np.random.SeedSequence([int(master_seed), int(i)]).spawn(2)
             for i in indices]
-    rlzs = [Realization(scenario, np.random.default_rng(draw_seq),
-                        angle_model, rf) for draw_seq, _ in seqs]
+    rlzs = [make_realization(scenario, draw_seq, angle_model, rf)
+            for draw_seq, _ in seqs]
     sols = pso.solve_joint(rlzs, pso_cfg, p_t_mw, sigma2_mw,
                            [solve_seq for _, solve_seq in seqs])
     return [_dataset_row(rlz, sol, p_t_mw, sigma2_mw, index)

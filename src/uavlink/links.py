@@ -126,14 +126,14 @@ class Realization:
         first_tx, first_rx = ch.draw_first_link(scenario, rng, supports)
         user_paths = ch.draw_second_link(scenario, rng, supports)
 
-        self.h1_raw = ch.first_link_matrix(
+        # the N_r x N_T first-link matrix is read only through its RF collapse
+        self._eff1_raw = self.rf.f_ur @ ch.first_link_matrix(
             first_tx, first_rx, scenario.uav_rx_array, scenario.bs_array,
-            scenario.element_spacing)
+            scenario.element_spacing) @ self.rf.f_b
         self.h2_raw = ch.second_link_rows(
             user_paths, scenario.uav_tx_array, scenario.element_spacing)
 
         k = scenario.num_users
-        self._eff1_raw = self.rf.f_ur @ self.h1_raw @ self.rf.f_b
         # at unit power per stream the precoder is V[:, :K] itself
         self._v1k, self._b_ur, _ = bf.bb_first_link(self._eff1_raw, k, k)
         m0 = self._b_ur @ self._eff1_raw @ self._v1k
@@ -266,11 +266,9 @@ class Realization:
         return rates.rate_report(stages, alloc, sigma2_mw)
 
     def channel_pair_at(self, xy) -> ch.ChannelPair:
-        """Physical channel matrices at one position (shared path draws)."""
-        tau1, tau2, amp1, amp2 = self._lone_pathloss(xy, "channel_pair_at")
-        return ch.ChannelPair(
-            h1=float(amp1[0]) * self.h1_raw, h2=amp2[0][:, None] * self.h2_raw,
-            tau1=float(tau1[0]), tau2=tau2[0])
+        """The physical second-hop rows at one position (shared path draws)."""
+        _, _, _, amp2 = self._lone_pathloss(xy, "channel_pair_at")
+        return ch.ChannelPair(h2=amp2[0][:, None] * self.h2_raw)
 
 
 def stack_realizations(realizations: list[Realization]) -> Realization:
@@ -301,7 +299,8 @@ def stack_realizations(realizations: list[Realization]) -> Realization:
     return out
 
 
-def make_realization(scenario: Scenario, seed, angle_model: str = "fixed"
-                     ) -> Realization:
-    """Draw one realization from a seed (int, SeedSequence, or Generator)."""
-    return Realization(scenario, np.random.default_rng(seed), angle_model)
+def make_realization(scenario: Scenario, seed, angle_model: str = "fixed",
+                     rf: RfDesign | None = None) -> Realization:
+    """Draw one realization from a seed (int, SeedSequence, or Generator);
+    ``rf`` is an optional shared analog design (:func:`shared_rf`)."""
+    return Realization(scenario, np.random.default_rng(seed), angle_model, rf)

@@ -92,14 +92,6 @@ class SwarmRun:
     infeasible: np.ndarray          # (S,) candidates scored -inf
 
 
-def clip(x: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
-    """Elementwise clamp onto [bounds[0], bounds[1]]."""
-    lo, hi = bounds
-    if not lo <= hi:
-        raise ValueError("empty clip interval")
-    return np.clip(x, lo, hi)
-
-
 def run_swarms(objective, dim: int, cfg: PsoConfig, seeds: list,
                warm_starts: list[np.ndarray] | None = None) -> SwarmRun:
     """Step one swarm per seed in lockstep.
@@ -134,8 +126,8 @@ def run_swarms(objective, dim: int, cfg: PsoConfig, seeds: list,
         vel = (cfg.gamma1 * y[:, 0] * (gbest_pos[:, None, :] - pos)
                + cfg.gamma2 * y[:, 1] * (pbest_pos - pos)
                + inertia * vel)
-        vel = clip(vel, cfg.velocity_clip)
-        pos = clip(pos + vel, (0.0, 1.0))
+        vel = np.clip(vel, *cfg.velocity_clip)
+        pos = np.clip(pos + vel, 0.0, 1.0)
         values = np.asarray(objective(pos), dtype=float)
         dead += np.isneginf(values)
         improved = values > pbest_val

@@ -42,17 +42,17 @@ _INTEGERS = {
 
 @pytest.mark.parametrize("build, dumped, hashed", [
     (ExperimentSpec,
-     "132898e1494d5f95d4b4844c345c20d6aa7427459498f00bb4e953bd32da9ff1",
-     "b3a04f4f774f37f321334e8b8d4d614bf822da528e7661b21c881af65523a5d7"),
+     "4f1d1e54a4a55d5853c59eca0e350f68695f907ff58aeee9680037bbb763984a",
+     "bcb498284935dfbb95ad33c1acd1edec582bc9e6098ded1d0f1c0631bb1b9bdf"),
     (paper_scale_spec,
-     "fccc1acdd8688b1d8caeec561f654dc9e785dfcfe6c56d4490926c50aa215476",
-     "aaa109d3a66f1da398fada4ba73c9ef9db3eb209d176b1228d1076055da3b502"),
+     "2c36139104562a6189bc651e1eca31776f03877b95f67469ac0bc73b913bfe86",
+     "398477f5fff8a7575c28537a40c243b7d3a1efcd0e705910c31ecdb4c8f5de4c"),
     (lambda: spec_from_dict(_readme_sketch()),
-     "b2f34a213bea6ca1b0414df36f1fb7021b72ba4c219bd19d4816369635350020",
-     "02691ccd627106654d74d89073ea5f275bb069175e090038a129f7b310e315a7"),
+     "556c1f8bfd851e64dfc90a0f997b50c98a04cd3fb63c538dc226082b58ec330f",
+     "bc02df3903c3086be6c623ff59b1c635af4785ca0f12928dabd1451fc8dde66b"),
     (lambda: spec_from_dict(_INTEGERS),
-     "141834a3e6d963cfd130c45f56e1390c3632f555e14976a9ebaab872971454b6",
-     "f5595d38fc0ea71667c44026692306b0e421099d987b28aa14c25fcc1635c968"),
+     "b325c01dd4d678bc51723bcccaf4db56b84a0c9c22389d9fb4162dd18b315866",
+     "3aa35b63de92f8f937b8fd96a71bbec202c6b64874556289bb98e2eb46c9d924"),
 ], ids=["defaults", "paper_scale", "readme_sketch", "integers"])
 def test_config_bytes_are_pinned(build, dumped, hashed):
     spec = build()

@@ -43,9 +43,27 @@ def test_out_of_box_candidate_rejected():
 
 
 def test_degenerate_geometry_detected():
-    s = Scenario(users=[Position3D(50.0, 50.0, 20.0)], group_sizes=[1])
+    # a scenario refuses such a user (below); a caller's own user_xyz is not
+    s = Scenario(users=[Position3D(60.0, 60.0, 0.0)], group_sizes=[1])
     with pytest.raises(DegenerateGeometry):
-        _tau(s, (50.0, 50.0))
+        distances(s, (50.0, 50.0), np.array([[50.0, 50.0, 20.0]]))
+
+
+def test_uav_altitude_of_the_bs_is_refused_when_a_candidate_reaches_it():
+    # a swarm may clip a candidate onto the box corner where the BS stands
+    with pytest.raises(ValueError, match=r"scenario\.uav_position altitude "
+                       r"10\.0 equals scenario\.bs_position"):
+        Scenario(uav=Position3D(50.0, 50.0, 10.0))
+    Scenario(uav=Position3D(50.0, 50.0, 10.0), bs=Position3D(-1.0, 0.0, 10.0))
+
+
+def test_uav_altitude_of_a_configured_user_is_refused_in_the_box():
+    with pytest.raises(ValueError, match=r"scenario\.uav_position altitude "
+                       r"20\.0 equals scenario\.users\[1\]"):
+        Scenario(users=[Position3D(60.0, 60.0, 0.0),
+                        Position3D(70.0, 70.0, 20.0)], group_sizes=[2])
+    Scenario(users=[Position3D(60.0, 60.0, 0.0),
+                    Position3D(170.0, 70.0, 20.0)], group_sizes=[2])
 
 
 coords = st.floats(min_value=0.0, max_value=100.0)

@@ -172,6 +172,25 @@ def test_manifest_contents(tmp_path):
     assert "created_utc" in manifest
 
 
+def test_runs_resolve_the_checkout_once_per_process(tmp_path, monkeypatch):
+    started = []
+    real_run = harness.subprocess.run
+
+    def counting_run(*args, **kwargs):
+        started.append(args[0])
+        return real_run(*args, **kwargs)
+
+    harness._git_describe.cache_clear()
+    monkeypatch.setattr(harness.subprocess, "run", counting_run)
+    spec = _small_spec(schemes=["fl_eqpa"], p_t_dbm=[20.0], realizations=1)
+    for name in ("first", "second"):
+        run(spec, str(tmp_path / name))
+    assert len(started) == 1
+    manifests = [json.load(open(tmp_path / name / "manifest.json"))
+                 for name in ("first", "second")]
+    assert manifests[0]["git_describe"] == manifests[1]["git_describe"]
+
+
 def test_mean_surface_and_emit(tmp_path):
     spec = _small_spec(realizations=2)
     grid = harness.mean_surface(spec, 20.0)
@@ -601,7 +620,8 @@ def test_cli_delay_rejects_a_negative_queue_size(tmp_path, capsys):
     ({"scenario": {"element_spacing": INF}}, "scenario.element_spacing"),
     ({"scenario": {"bs_position": [0, 0, NAN]}}, "scenario.bs_position"),
     ({"pso": {"gamma1": NAN}}, "pso.gamma1"),
-    ({"scenario": {"carrier_freq_hz": NAN}}, "scenario.carrier_freq_hz"),
+    ({"scenario": {"carrier_freq_hz": NAN}},
+     "unknown config field scenario.carrier_freq_hz"),
     ({"scenario": {"pathloss_exp": -1}}, "scenario.pathloss_exp"),
     ({"experiment": {"grid_dx": INF}}, "experiment.grid_dx"),
     ({"dnn": {"hidden_layers": [0]}}, "dnn.hidden_layers"),
@@ -629,6 +649,7 @@ def test_cli_delay_rejects_a_negative_queue_size(tmp_path, capsys):
     ({"dnn": {"batch_size": 0}}, "dnn.batch_size"),
     ({"dnn": {"epochs": -1}}, "dnn.epochs"),
     ({"experiment": {"realizations": 0}}, "experiment.realizations"),
+    ({"scenario": {"uav_position": [50, 50, 10]}}, "scenario.uav_position"),
 ], ids=["bogus_field", "realizations", "workers", "workers_bool", "p_t_dbm",
         "seed", "group_sizes", "bs_position", "particles", "model_path",
         "epochs", "bandwidth_zero", "bandwidth_negative", "paths_first_link",
@@ -640,7 +661,7 @@ def test_cli_delay_rejects_a_negative_queue_size(tmp_path, capsys):
         "support_elevation", "group_support_count", "rf_budget_bs",
         "rf_budget_uav_rx", "rf_budget_per_group", "particles_zero",
         "iterations_negative", "velocity_clip", "batch_size_zero",
-        "epochs_negative", "realizations_zero"])
+        "epochs_negative", "realizations_zero", "uav_at_bs_altitude"])
 def test_cli_reports_errors_as_json(tmp_path, capsys, config, field):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(config))

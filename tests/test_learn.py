@@ -335,6 +335,20 @@ def test_dataset_resume_refuses_another_configuration(tmp_path,
     assert open(path + ".meta.json").read() == meta
 
 
+def test_dataset_resume_refuses_a_sidecar_with_the_carrier(tmp_path,
+                                                          desk_scenario):
+    # sidecars written before the carrier field was removed carry it
+    path = str(tmp_path / "rows.jsonl")
+    cfg = PsoConfig(particles=4, iterations=3)
+    generate_dataset(desk_scenario, 2, 1, path, pso_cfg=cfg)
+    meta = json.load(open(path + ".meta.json"))
+    meta["scenario"]["carrier_freq_hz"] = 28e9
+    json.dump(meta, open(path + ".meta.json", "w"), indent=1)
+    with pytest.raises(ValueError, match=r"different scenario\.carrier_freq_hz"):
+        generate_dataset(desk_scenario, 4, 1, path, pso_cfg=cfg)
+    assert len(open(path).read().splitlines()) == 2
+
+
 def test_dataset_resume_needs_the_sidecar(tmp_path, desk_scenario):
     path = str(tmp_path / "rows.jsonl")
     cfg = PsoConfig(particles=4, iterations=3)

@@ -7,10 +7,16 @@ from uavlink import channel as ch
 from uavlink import rates
 from uavlink.beamforming import OverlappingSupports
 from uavlink.geometry import (OutOfBox, Position3D, Scenario, dbm_to_mw,
-                              noise_power)
+                              distances, noise_power)
 from uavlink.harness import ExperimentSpec, paper_scale_spec, realization
 from uavlink.links import (Realization, design_rf_stages, make_realization,
                            shared_rf, stack_realizations)
+
+
+def _eff1(rlz, xy=None):
+    """The RF-collapsed first hop at ``xy`` (default: the default position);
+    it does not depend on the budget or the noise."""
+    return rlz.stages_at(rlz.default_xy if xy is None else xy, 1.0, 1.0).eff1
 
 
 @pytest.mark.parametrize("scenario", [
@@ -47,10 +53,10 @@ def test_same_seed_same_realization(desk_scenario, p20_mw, desk_sigma2):
     a = make_realization(desk_scenario, 77)
     b = make_realization(desk_scenario, 77)
     c = make_realization(desk_scenario, 78)
-    assert np.array_equal(a.h1_raw, b.h1_raw)
+    assert np.array_equal(_eff1(a), _eff1(b))
     assert np.array_equal(a.h2_raw, b.h2_raw)
     assert [u.x for u in a.users] == [u.x for u in b.users]
-    assert not np.array_equal(a.h1_raw, c.h1_raw)
+    assert not np.array_equal(_eff1(a), _eff1(c))
     ra = a.rate_at(a.default_xy, p20_mw, desk_sigma2)
     rb = b.rate_at(b.default_xy, p20_mw, desk_sigma2)
     assert ra.r_total == rb.r_total
@@ -60,9 +66,9 @@ def test_stream_substreams_are_order_independent(desk_scenario):
     spec = ExperimentSpec(scenario=desk_scenario, seed=42)
     full = {i: realization(spec, i) for i in range(5)}
     only_third = realization(spec, 3)
-    assert np.array_equal(full[3].h1_raw, only_third.h1_raw)
+    assert np.array_equal(_eff1(full[3]), _eff1(only_third))
     assert np.array_equal(full[3].h2_raw, only_third.h2_raw)
-    assert not np.array_equal(full[2].h1_raw, only_third.h1_raw)
+    assert not np.array_equal(_eff1(full[2]), _eff1(only_third))
 
 
 def test_out_of_box_candidates_rejected(desk_realization, p20_mw, desk_sigma2):
@@ -93,14 +99,18 @@ def test_channel_scaling_with_distance(desk_scenario):
              Position3D(90, 55, 0), Position3D(75, 95, 0)]
     s = Scenario(users=users)
     rlz = make_realization(s, 5)
-    near = rlz.channel_pair_at([45.0, 45.0])
-    far = rlz.channel_pair_at([5.0, 5.0])
-    # moving away from the BS strengthens hop 1 and weakens hop 2
-    assert np.linalg.norm(far.h1) > np.linalg.norm(near.h1)
+    xy_near, xy_far = [45.0, 45.0], [5.0, 5.0]     # near the users, the BS
+    near = rlz.channel_pair_at(xy_near)
+    far = rlz.channel_pair_at(xy_far)
+    # moving toward the BS strengthens hop 1 and weakens hop 2
+    ratio = (np.linalg.norm(_eff1(rlz, xy_far))
+             / np.linalg.norm(_eff1(rlz, xy_near)))
+    assert ratio > 1.0
     assert np.linalg.norm(far.h2) < np.linalg.norm(near.h2)
     eta = s.pathloss_exp
-    ratio = np.linalg.norm(far.h1) / np.linalg.norm(near.h1)
-    assert ratio == pytest.approx((far.tau1 / near.tau1) ** (-eta / 2),
+    tau1, _ = distances(s, [xy_near, xy_far],
+                        np.array([u.as_array() for u in users]))
+    assert ratio == pytest.approx((tau1[1] / tau1[0]) ** (-eta / 2),
                                   rel=1e-9)
 
 
@@ -147,7 +157,7 @@ def test_shared_rf_design_builds_the_same_realization(desk_scenario, p20_mw,
     own = make_realization(desk_scenario, 31)
     shared = Realization(desk_scenario, np.random.default_rng(31), rf=rf)
     assert shared.rf is rf
-    assert np.array_equal(own.h1_raw, shared.h1_raw)
+    assert np.array_equal(_eff1(own), _eff1(shared))
     assert np.array_equal(own.h2_raw, shared.h2_raw)
     a = own.rate_at(own.default_xy, p20_mw, desk_sigma2)
     b = shared.rate_at(shared.default_xy, p20_mw, desk_sigma2)

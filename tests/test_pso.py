@@ -1,21 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from uavlink import pso
 from uavlink.geometry import Box, dbm_to_mw, noise_power
-from uavlink.pso import PsoConfig, clip, exhaustive_grid
-
-
-@given(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=8))
-@settings(max_examples=50, deadline=None)
-def test_clip_stays_in_unit_box(values):
-    x = np.array(values)
-    y = clip(x, (0.0, 1.0))
-    assert np.all(y >= 0.0) and np.all(y <= 1.0)
-    inside = (x >= 0.0) & (x <= 1.0)
-    assert np.array_equal(y[inside], x[inside])
+from uavlink.pso import PsoConfig, exhaustive_grid
 
 
 def _sphere(points):

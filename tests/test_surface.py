@@ -7,6 +7,8 @@ an export from ``uavlink/__init__.py``: a helper only they reach belongs in
 the tests or nowhere. A method or property is reached as an attribute
 (``rlz.rate_at``) or by a dotted-name string; a bare name of the same
 spelling, such as a parameter, does not reach it.
+
+The package also builds a realization in one place only.
 """
 
 import ast
@@ -65,3 +67,24 @@ def test_every_public_method_and_property_has_a_user_outside_the_unit_tests():
               for member in _public_members(path)
               if member.split(".")[1] not in referenced]
     assert unused == []
+
+
+def _calls(node, name: str, scope: str = "<module>"):
+    """(enclosing function, line) of each call of ``name`` under ``node``,
+    as a bare name or as an attribute."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Call)
+                and name in (getattr(child.func, "id", None),
+                             getattr(child.func, "attr", None))):
+            yield scope, child.lineno
+        inner = child.name if isinstance(child, ast.FunctionDef) else scope
+        yield from _calls(child, name, inner)
+
+
+def test_only_make_realization_builds_a_realization():
+    sites = [f"{path.stem}.{scope}:{line}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for scope, line in _calls(ast.parse(path.read_text()),
+                                       "Realization")]
+    assert [site.split(":")[0] for site in sites] == [
+        "links.make_realization"], sites
